@@ -161,11 +161,19 @@ class CCodegen:
                 _collect_binders(pattern, binders)
                 rows.append({"entry": entry_name, "binders": binders})
             interfaces[channel] = rows
+        # Offers whose arguments the host cannot preview are routed on
+        # the entry's shape alone, like the firmware's poll loop.
+        routes = {
+            channel: {entry_name: self._shape_routes(channel, pattern)
+                      for entry_name, pattern in entries.items()}
+            for channel, entries in self.program.interfaces.items()
+        }
         return {
             "nproc": len(self.program.processes),
             "proc_names": [p.name for p in self.program.processes],
             "channels": channels,
             "interfaces": interfaces,
+            "routes": routes,
             "sites": self._sites,
         }
 
@@ -1135,9 +1143,7 @@ class CCodegen:
             # host state: the fetch function consumes the host's message.
             compatible = [
                 f"(r == {pid} && esp_procs[r].pc == {state} && arm == {arm_c})"
-                for site_chan, site_pattern, pid, state, arm_c in self._in_sites
-                if site_chan == channel
-                and _patterns_compatible(pattern, site_pattern)
+                for pid, state, arm_c in self._shape_routes(channel, pattern)
             ]
             cond = " || ".join(compatible) or "0"
             out.emit(f"if (!({cond})) continue;")
@@ -1174,6 +1180,14 @@ class CCodegen:
         out.emit("}")
         out.indent -= 1
         out.emit("}")
+
+    def _shape_routes(self, channel: str, entry: ast.Pattern) -> list:
+        """The receive sites ``[pid, state, arm]`` on ``channel`` whose
+        pattern a message of interface entry ``entry`` could match."""
+        return [[pid, state, arm]
+                for site_chan, site_pattern, pid, state, arm in self._in_sites
+                if site_chan == channel
+                and _patterns_compatible(entry, site_pattern)]
 
     def _gen_poll_reader(self, channel: str, iface: str, entries: dict) -> None:
         out = self.out
@@ -1250,7 +1264,7 @@ class CCodegen:
         out.emit("")
 
     def _gen_outcheck(self) -> None:
-        """Machine._check_out_matchable: when a plain out blocks and no
+        """interp.out_matchable: when a plain out blocks and no
         receive pattern in the program could ever take the message, the
         Python engines raise immediately; so does the quantum loop."""
         out = self.out
@@ -1277,7 +1291,7 @@ class CCodegen:
 
     def _port_not_false(self, shape, channel: str, info) -> str:
         """One port's verdict is "not definitely False" for the staged
-        payload (Machine._value_vs_shape compiled to a C condition)."""
+        payload (interp.shape_match compiled to a C condition)."""
         if channel in self.fused_channels:
             mt = info.message_type
             n = len(mt.fields)
@@ -1359,7 +1373,7 @@ class CCodegen:
         out.emit("")
 
     def _gen_accept_match(self) -> None:
-        """Machine._match_entry for the native path: find the first
+        """The external-accept match for the native path: find the first
         interface entry (declaration order) the staged payload matches,
         encoding each binder's value into the host buffer on the way."""
         out = self.out
@@ -1415,7 +1429,7 @@ class CCodegen:
         raise ESPError("unhandled interface pattern in C backend")
 
     def _gen_entry_build(self) -> None:
-        """Machine._build_from_pattern for the native path: rebuild an
+        """interp.build_from_pattern for the native path: rebuild an
         external writer entry's message from the host-encoded binder
         values (children before parents, like build_value)."""
         out = self.out

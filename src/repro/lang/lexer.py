@@ -148,12 +148,12 @@ class Lexer:
         else:
             while end < n and text[end].isdigit():
                 end += 1
-            if end < n and (text[end].isalpha() or text[end] == "_"):
-                raise LexError(
-                    f"malformed number {text[start:end + 1]!r}",
-                    self._span(start, end + 1),
-                )
             value = int(text[start:end])
+        if end < n and (text[end].isalpha() or text[end] == "_"):
+            raise LexError(
+                f"malformed number {text[start:end + 1]!r}",
+                self._span(start, end + 1),
+            )
         self.pos = end
         return Token(TokenKind.INT, text[start:end], self._span(start, end), value)
 

@@ -27,9 +27,11 @@ import operator
 
 from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
+from repro.lang.patterns import Eq, Rec, Uni, Wild
+from repro.lang.types import ArrayType, RecordType, UnionType
 from repro.ir import nodes as ir
 from repro.ir.slots import resolve_process_slots
-from repro.runtime.interp import BlockInfo, EnabledArm, Status, _store_slot
+from repro.runtime.interp import BlockInfo, EnabledArm, Status, _store_slot, _verdict
 from repro.runtime.values import Ref, UNSET
 
 # Handler return sentinel: the process blocked (or halted); the handler
@@ -530,6 +532,445 @@ def compile_payload(arm: ir.AltArm, proc: ir.IRProcess, consts: dict):
         return [value], [fresh], False
 
     return payload
+
+
+def compile_deliver_components(pattern: ast.PRecord, proc: ir.IRProcess,
+                               consts: dict):
+    """Fused delivery ``fn(machine, ps, values, fresh)`` mirroring
+    :func:`repro.runtime.interp.deliver_components`."""
+    steps = [_compile_component_delivery(item, proc, consts)
+             for item in pattern.items]
+
+    def deliver(machine, ps, values, fresh):
+        for step, value, f in zip(steps, values, fresh):
+            step(machine, ps, value, f)
+
+    return deliver
+
+
+def _compile_component_delivery(item: ast.Pattern, proc, consts):
+    if isinstance(item, ast.PBind):
+        slot = proc.slot_of[item.unique_name]
+
+        def bind(machine, ps, value, fresh):
+            if isinstance(value, Ref) and not fresh:
+                machine.heap.link(value)
+            ps.frame[slot] = value
+
+        return bind
+    if isinstance(item, ast.PEq):
+        if getattr(item, "is_store", False):
+            store = compile_store(item.expr, proc, consts)
+            return lambda machine, ps, value, fresh: store(
+                machine, ps, value, fresh, False)
+        fe = _valuify(*compile_expr(item.expr, proc, consts))
+        span = item.span
+
+        def eq(machine, ps, value, fresh):
+            if fe(machine, ps) != value:
+                raise ESPRuntimeError("fused delivery equality mismatch", span)
+
+        return eq
+    bind_nested = compile_bind(item, proc, consts)
+
+    def nested(machine, ps, value, fresh):
+        bind_nested(machine, ps, value, True)
+        if fresh and isinstance(value, Ref):
+            machine.heap.unlink(value)
+
+    return nested
+
+
+# ---------------------------------------------------------------------------
+# The external boundary and the exhaustiveness check
+# ---------------------------------------------------------------------------
+
+# Interface entries belong to no process: their equality expressions
+# read constants only and evaluate in the machine's ``<external>``
+# context (pid -1).
+_ENV = ir.IRProcess(name="<external>", pid=-1)
+
+
+def _true(*_):
+    return True
+
+
+def _false(*_):
+    return False
+
+
+def compile_reach(entry: ast.Pattern, pattern: ast.Pattern,
+                  proc: ir.IRProcess, consts: dict):
+    """Offer matcher ``fn(machine, ps, args) -> bool``: would the
+    message built from interface entry ``entry`` with binder arguments
+    ``args`` match ``pattern``, the pattern process ``ps`` waits with?
+    Mirrors :func:`repro.runtime.interp.entry_reaches`, which reads the
+    arguments through an iterator while it walks both patterns; which
+    argument it reads where is fixed by the two patterns, so the
+    positions are resolved here.  The caller has checked that ``args``
+    covers every binder and converts to the binder types."""
+    return _compile_reach(entry, pattern, proc, consts, [0])
+
+
+def _compile_reach(entry, rp, proc, consts, pos):
+    takes_anything = (isinstance(rp, ast.PBind)
+                      or getattr(rp, "is_store", False))
+    if isinstance(entry, ast.PBind):
+        index = pos[0]
+        pos[0] += 1
+        test = _compile_raw_test(entry.type, rp, proc, consts)
+        return lambda machine, ps, args: test(machine, ps, args[index])
+    if isinstance(entry, ast.PEq):
+        if takes_anything:
+            return _true
+        if not isinstance(rp, ast.PEq):
+            return _false
+        fe = _valuify(*compile_expr(entry.expr, _ENV, consts))
+        fr = _valuify(*compile_expr(rp.expr, proc, consts))
+
+        def equal(machine, ps, args):
+            value = fe(machine, machine._env_ps)
+            return fr(machine, ps) == value
+
+        return equal
+    if isinstance(entry, ast.PRecord):
+        if isinstance(rp, ast.PBind):
+            # The walker still reads (and skips) the record's binders.
+            pos[0] += _record_binders(entry)
+            return _true
+        if takes_anything:
+            return _true
+        if not isinstance(rp, ast.PRecord) or len(entry.items) != len(rp.items):
+            return _false
+        subs = [_compile_reach(e, r, proc, consts, pos)
+                for e, r in zip(entry.items, rp.items)]
+        return lambda machine, ps, args: all(
+            sub(machine, ps, args) for sub in subs)
+    if isinstance(entry, ast.PUnion):
+        if takes_anything:
+            return _true
+        if not isinstance(rp, ast.PUnion) or entry.tag != rp.tag:
+            return _false
+        return _compile_reach(entry.value, rp.value, proc, consts, pos)
+    return _true
+
+
+def _record_binders(entry: ast.Pattern) -> int:
+    """Arguments the walker reads matching ``entry`` against a
+    whole-message bind (a union inside answers without reading)."""
+    if isinstance(entry, ast.PBind):
+        return 1
+    if isinstance(entry, ast.PRecord):
+        return sum(_record_binders(item) for item in entry.items)
+    return 0
+
+
+def _compile_raw_test(t, rp, proc, consts):
+    """``fn(machine, ps, raw) -> bool`` matching plain Python data of
+    type ``t`` against a receive pattern, without allocating."""
+    if isinstance(rp, ast.PBind) or getattr(rp, "is_store", False):
+        return _true
+    if isinstance(rp, ast.PEq):
+        fr = _valuify(*compile_expr(rp.expr, proc, consts))
+        return lambda machine, ps, raw: fr(machine, ps) == raw
+    if isinstance(rp, ast.PRecord):
+        if not isinstance(t, RecordType):
+            return _false
+        subs = [_compile_raw_test(ft, r, proc, consts)
+                for (_, ft), r in zip(t.fields, rp.items)]
+        arity = len(rp.items)
+        return lambda machine, ps, raw: len(raw) == arity and all(
+            sub(machine, ps, item) for sub, item in zip(subs, raw))
+    if isinstance(rp, ast.PUnion):
+        if not isinstance(t, UnionType):
+            return _false
+        tag = rp.tag
+        sub = _compile_raw_test(t.tag_type(tag), rp.value, proc, consts)
+
+        def union(machine, ps, raw):
+            raw_tag, inner = raw
+            return raw_tag == tag and sub(machine, ps, inner)
+
+        return union
+    return _false
+
+
+def compile_entry_build(entry: ast.Pattern, consts: dict):
+    """Message constructor ``fn(machine, args) -> Value`` for an interface
+    entry, mirroring :func:`repro.runtime.interp.build_from_pattern`."""
+    return _compile_entry_build(entry, consts, [0])
+
+
+def _compile_entry_build(pattern, consts, pos):
+    if isinstance(pattern, ast.PBind):
+        index = pos[0]
+        pos[0] += 1
+        convert = compile_convert(pattern.type)
+        message = (f"external message missing argument for binder "
+                   f"'{pattern.name}'")
+        span = pattern.span
+
+        def binder(machine, args):
+            if index >= len(args):
+                raise ESPRuntimeError(message, span)
+            return convert(machine.heap, args[index])
+
+        return binder
+    if isinstance(pattern, ast.PEq):
+        fe = _valuify(*compile_expr(pattern.expr, _ENV, consts))
+        return lambda machine, args: fe(machine, machine._env_ps)
+    if isinstance(pattern, ast.PRecord):
+        subs = [_compile_entry_build(item, consts, pos) for item in pattern.items]
+
+        def record(machine, args):
+            data = [sub(machine, args) for sub in subs]
+            return machine.heap.alloc("record", data, mutable=False, owner=-1)
+
+        return record
+    if isinstance(pattern, ast.PUnion):
+        sub = _compile_entry_build(pattern.value, consts, pos)
+        tag = pattern.tag
+
+        def union(machine, args):
+            inner = sub(machine, args)
+            return machine.heap.alloc("union", [inner], mutable=False,
+                                      tag=tag, owner=-1)
+
+        return union
+    span = pattern.span
+
+    def unhandled(machine, args):
+        raise ESPRuntimeError("unhandled interface pattern", span)
+
+    return unhandled
+
+
+def compile_convert(t):
+    """``fn(heap, raw) -> Value`` converting plain Python data to type
+    ``t``, mirroring :func:`repro.runtime.interp.build_value`."""
+    if isinstance(t, RecordType):
+        subs = [compile_convert(ft) for _, ft in t.fields]
+        arity, mutable = len(subs), t.mutable
+
+        def record(heap, raw):
+            if not isinstance(raw, (tuple, list)) or len(raw) != arity:
+                raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+            data = [sub(heap, item) for sub, item in zip(subs, raw)]
+            return heap.alloc("record", data, mutable, owner=-1)
+
+        return record
+    if isinstance(t, UnionType):
+        subs = {tag: compile_convert(t.tag_type(tag)) for tag in t.tag_names()}
+        mutable = t.mutable
+
+        def union(heap, raw):
+            if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+                raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+            tag, inner = raw
+            sub = subs.get(tag) if isinstance(tag, str) else None
+            if sub is None:
+                raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
+            return heap.alloc("union", [sub(heap, inner)], mutable, tag=tag,
+                              owner=-1)
+
+        return union
+    if isinstance(t, ArrayType):
+        sub = compile_convert(t.element)
+        mutable = t.mutable
+
+        def array(heap, raw):
+            if not isinstance(raw, (tuple, list)):
+                raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+            return heap.alloc("array", [sub(heap, item) for item in raw],
+                              mutable, owner=-1)
+
+        return array
+
+    def scalar(heap, raw):
+        if isinstance(raw, int):  # bools are ints
+            return raw
+        raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+
+    return scalar
+
+
+def compile_match_entry(entry: ast.Pattern, consts: dict, fused: bool):
+    """External-accept matcher ``fn(machine, values) -> args | None``:
+    the entry's binder values (as host data, in pattern order) when the
+    ESP message matches the interface entry, else None."""
+    if fused:
+        test = compile_test_components(entry, _ENV, consts)
+        extracts = ([compile_extract(item) for item in entry.items]
+                    if isinstance(entry, ast.PRecord) else [])
+
+        def match_fused(machine, values):
+            if not test(machine, machine._env_ps, values):
+                return None
+            heap = machine.heap
+            args: list = []
+            for extract, value in zip(extracts, values):
+                extract(heap, value, args)
+            return tuple(args)
+
+        return match_fused
+    test = compile_test(entry, _ENV, consts)
+    extract = compile_extract(entry)
+
+    def match(machine, values):
+        value = values[0]
+        if not test(machine, machine._env_ps, value):
+            return None
+        args: list = []
+        extract(machine.heap, value, args)
+        return tuple(args)
+
+    return match
+
+
+def compile_extract(pattern: ast.Pattern):
+    """``fn(heap, value, args)`` appending the binders' host values,
+    mirroring :func:`repro.runtime.interp.extract_args`."""
+    if isinstance(pattern, ast.PBind):
+        return lambda heap, value, args: args.append(heap.to_python(value))
+    if isinstance(pattern, ast.PRecord):
+        subs = [compile_extract(item) for item in pattern.items]
+
+        def record(heap, value, args):
+            for sub, component in zip(subs, heap.get(value).data):
+                sub(heap, component, args)
+
+        return record
+    if isinstance(pattern, ast.PUnion):
+        sub = compile_extract(pattern.value)
+        return lambda heap, value, args: sub(heap, heap.get(value).data[0], args)
+    return lambda heap, value, args: None
+
+
+def compile_out_check(ports: list, fused: bool):
+    """The §4.2 dynamic exhaustiveness check for one ``out`` site:
+    ``fn(machine, block) -> bool``, False when the blocked message
+    definitely matches none of the channel's receive ports (mirrors
+    :func:`repro.runtime.interp.out_matchable`)."""
+    if not ports:
+        return _true
+    if not fused:
+        shapes = [compile_shape(port.shape) for port in ports]
+
+        def check(machine, block):
+            heap, value = machine.heap, block.values[0]
+            for shape in shapes:
+                if shape(heap, value) is not False:
+                    return True
+            return False
+
+        return check
+    records = [[compile_shape(item) for item in port.shape.items]
+               for port in ports if isinstance(port.shape, Rec)]
+
+    def check_fused(machine, block):
+        heap, values = machine.heap, block.values
+        for items in records:
+            if len(items) == len(values) and _verdict(
+                    [item(heap, v) for item, v in zip(items, values)]) is not False:
+                return True
+        return False
+
+    return check_fused
+
+
+def compile_shape(shape):
+    """``fn(heap, value) -> True | False | None``, mirroring
+    :func:`repro.runtime.interp.shape_match`."""
+    if isinstance(shape, Wild):
+        return _true
+    if isinstance(shape, Eq):
+        expected = shape.value
+        return lambda heap, value: expected == value
+    if isinstance(shape, Rec):
+        items = [compile_shape(item) for item in shape.items]
+        arity = len(items)
+
+        def record(heap, value):
+            obj = heap.get(value)
+            if obj.kind != "record" or len(obj.data) != arity:
+                return False
+            return _verdict([item(heap, v) for item, v in zip(items, obj.data)])
+
+        return record
+    if isinstance(shape, Uni):
+        sub = compile_shape(shape.value)
+        tag = shape.tag
+
+        def union(heap, value):
+            obj = heap.get(value)
+            if obj.kind != "union" or obj.tag != tag:
+                return False
+            return sub(heap, obj.data[0])
+
+        return union
+    return lambda heap, value: None  # EqUnknown and unknown shapes
+
+
+class CompiledBoundary:
+    """The compiled engine's side of the machine's pattern boundary
+    (see :class:`repro.runtime.interp.ReferenceBoundary`, which has the
+    same methods).  Every closure is compiled once and cached on the
+    node it serves: a receive pattern belongs to one process, an
+    interface entry to one channel, an ``out`` to one site."""
+
+    def __init__(self, program: ir.IRProgram):
+        self.consts = program.consts
+        self.ports = program.ports.ports
+
+    def test(self, pattern, proc):
+        return _cached(pattern, "_ctest_fn", compile_test, pattern, proc,
+                       self.consts)
+
+    def test_components(self, pattern, proc):
+        return _cached(pattern, "_ctestc_fn", compile_test_components,
+                       pattern, proc, self.consts)
+
+    def bind(self, pattern, proc):
+        return _cached(pattern, "_cbind_fn", compile_bind, pattern, proc,
+                       self.consts)
+
+    def deliver_components(self, pattern, proc):
+        return _cached(pattern, "_cdeliver_fn", compile_deliver_components,
+                       pattern, proc, self.consts)
+
+    def payload(self, arm, proc):
+        return _cached(arm, "_cpayload_fn", compile_payload, arm, proc,
+                       self.consts)
+
+    def reach(self, entry_name, entry, pattern, proc):
+        table = getattr(pattern, "_creach_fns", None)
+        if table is None:
+            table = pattern._creach_fns = {}
+        fn = table.get(entry_name)
+        if fn is None:
+            fn = table[entry_name] = compile_reach(entry, pattern, proc,
+                                                   self.consts)
+        return fn
+
+    def build(self, entry):
+        return _cached(entry, "_cbuild_fn", compile_entry_build, entry,
+                       self.consts)
+
+    def match_entry(self, entry, fused):
+        return _cached(entry, "_cacceptc_fn" if fused else "_caccept_fn",
+                       compile_match_entry, entry, self.consts, fused)
+
+    def out_check(self, instr):
+        return _cached(instr, "_ccheck_fn", compile_out_check,
+                       self.ports.get(instr.channel, []), instr.fused)
+
+
+def _cached(node, attr: str, compile_fn, *args):
+    fn = getattr(node, attr, None)
+    if fn is None:
+        fn = compile_fn(*args)
+        setattr(node, attr, fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------

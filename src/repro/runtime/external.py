@@ -41,10 +41,20 @@ class ExternalWriter:
         """Consume and return the binder arguments for ``entry_name``."""
         raise NotImplementedError
 
-    def offers(self) -> list[tuple[str, tuple]]:
-        """All messages the host *could* send right now (used by the
-        verifier to branch; execution uses only the first).  Default:
-        derived from ``is_ready`` without consuming."""
+    def offers(self) -> list[tuple[str, tuple | None]]:
+        """All messages the host *could* send right now, as ``(entry
+        name, args)`` pairs (used by the verifier to branch; execution
+        uses only the first).  Default: derived from ``is_ready``
+        without consuming, with ``args`` None.
+
+        ``args`` None means the arguments cannot be previewed: the
+        entry is offered on its shape to every waiting receiver whose
+        pattern it could match, and the values ``take()`` then supplies
+        are checked at delivery (a mismatch is a runtime error).  A
+        tuple is the arguments themselves, one per binder of the entry
+        in pattern order: a tuple that is short, or holds a value that
+        does not convert to its binder's type, is undeliverable, so
+        the message stays offered and is never taken."""
         index = self.is_ready()
         if index == 0:
             return []

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
+from repro.lang.patterns import Eq, EqUnknown, Rec, Shape, Uni, Wild
 from repro.lang.typecheck import _fold_binary
+from repro.lang.types import ArrayType, RecordType, Type, UnionType
 from repro.ir import nodes as ir
 from repro.ir.slots import resolve_process_slots
 from repro.runtime.heap import Heap
@@ -547,3 +549,317 @@ def _evaluate_out(evaluator: Evaluator, ps: ProcessState, expr: ast.Expr,
         return values, fresh
     v, f = evaluator.eval(expr, ps)
     return [v], [f]
+
+
+# ---------------------------------------------------------------------------
+# The machine's pattern boundary (reference walkers)
+# ---------------------------------------------------------------------------
+
+
+def deliver_components(evaluator: Evaluator, ps: ProcessState,
+                       pattern: ast.Pattern, values: list[Value],
+                       fresh: list[bool]) -> None:
+    """Bind a fused message (its components, never wrapped in a record)
+    item by item with the receiver's record pattern."""
+    assert isinstance(pattern, ast.PRecord)
+    heap = evaluator.heap
+    for item, value, f in zip(pattern.items, values, fresh):
+        if isinstance(item, ast.PBind):
+            if isinstance(value, Ref) and not f:
+                heap.link(value)
+            ps.frame[ps.proc.slot_of[item.unique_name]] = value
+        elif isinstance(item, ast.PEq):
+            if getattr(item, "is_store", False):
+                store_into(evaluator, ps, item.expr, value, fresh=f)
+                continue
+            expected, _ = evaluator.eval(item.expr, ps)
+            if expected != value:
+                raise ESPRuntimeError("fused delivery equality mismatch",
+                                      item.span)
+        else:  # nested destructure of an aggregate component
+            match_local(evaluator, ps, item, value, link_binders=True)
+            if f and isinstance(value, Ref):
+                heap.unlink(value)
+
+
+def entry_reaches(evaluator: Evaluator, env: ProcessState,
+                  entry: ast.Pattern, args_iter, receiver_pattern: ast.Pattern,
+                  receiver: ProcessState) -> bool:
+    """Value-level offer test: would the message built from interface
+    entry ``entry`` with the binder arguments in ``args_iter`` match the
+    receiver's waiting pattern?  Walks both patterns together, so no
+    message is allocated."""
+    if isinstance(entry, ast.PBind):
+        try:
+            raw = next(args_iter)
+        except StopIteration:
+            return False
+        return _python_vs_pattern(evaluator, raw, entry.type,
+                                  receiver_pattern, receiver)
+    if isinstance(entry, ast.PEq):
+        value, _ = evaluator.eval(entry.expr, env)
+        if isinstance(receiver_pattern, ast.PBind) or getattr(
+            receiver_pattern, "is_store", False
+        ):
+            return True
+        if isinstance(receiver_pattern, ast.PEq):
+            expected, _ = evaluator.eval(receiver_pattern.expr, receiver)
+            return expected == value
+        return False
+    if isinstance(entry, ast.PRecord):
+        if isinstance(receiver_pattern, ast.PBind):
+            # Whole-message bind: consume args to keep the iterator
+            # aligned, always matches.
+            for item in entry.items:
+                if not entry_reaches(evaluator, env, item, args_iter,
+                                     ast.PBind(item.span, name="_"), receiver):
+                    return False
+            return True
+        if getattr(receiver_pattern, "is_store", False):
+            return True
+        if not isinstance(receiver_pattern, ast.PRecord):
+            return False
+        if len(entry.items) != len(receiver_pattern.items):
+            return False
+        return all(
+            entry_reaches(evaluator, env, e, args_iter, r, receiver)
+            for e, r in zip(entry.items, receiver_pattern.items)
+        )
+    if isinstance(entry, ast.PUnion):
+        if isinstance(receiver_pattern, ast.PBind) or getattr(
+            receiver_pattern, "is_store", False
+        ):
+            return True
+        if not isinstance(receiver_pattern, ast.PUnion):
+            return False
+        if entry.tag != receiver_pattern.tag:
+            return False
+        return entry_reaches(evaluator, env, entry.value, args_iter,
+                             receiver_pattern.value, receiver)
+    return True
+
+
+def _python_vs_pattern(evaluator: Evaluator, raw, t: Type,
+                       receiver_pattern: ast.Pattern,
+                       receiver: ProcessState) -> bool:
+    """Match plain Python data (a binder argument) against the
+    receiver's pattern without allocating."""
+    if isinstance(receiver_pattern, ast.PBind) or getattr(
+        receiver_pattern, "is_store", False
+    ):
+        return True
+    if isinstance(receiver_pattern, ast.PEq):
+        expected, _ = evaluator.eval(receiver_pattern.expr, receiver)
+        return expected == raw
+    if isinstance(receiver_pattern, ast.PRecord):
+        if not isinstance(t, RecordType) or len(raw) != len(receiver_pattern.items):
+            return False
+        return all(
+            _python_vs_pattern(evaluator, item, ft, rp, receiver)
+            for item, (_, ft), rp in zip(raw, t.fields, receiver_pattern.items)
+        )
+    if isinstance(receiver_pattern, ast.PUnion):
+        if not isinstance(t, UnionType):
+            return False
+        tag, inner = raw
+        if tag != receiver_pattern.tag:
+            return False
+        return _python_vs_pattern(evaluator, inner, t.tag_type(tag),
+                                  receiver_pattern.value, receiver)
+    return False
+
+
+def build_from_pattern(evaluator: Evaluator, env: ProcessState,
+                       pattern: ast.Pattern, args_iter) -> Value:
+    """Construct a fresh message from an interface entry pattern and
+    the host-supplied binder arguments (in pattern order)."""
+    if isinstance(pattern, ast.PBind):
+        try:
+            raw = next(args_iter)
+        except StopIteration:
+            raise ESPRuntimeError(
+                f"external message missing argument for binder "
+                f"'{pattern.name}'", pattern.span
+            )
+        return build_value(evaluator.heap, pattern.type, raw)
+    if isinstance(pattern, ast.PEq):
+        value, _ = evaluator.eval(pattern.expr, env)
+        return value
+    if isinstance(pattern, ast.PRecord):
+        data = [build_from_pattern(evaluator, env, item, args_iter)
+                for item in pattern.items]
+        return evaluator.heap.alloc("record", data, mutable=False, owner=-1)
+    if isinstance(pattern, ast.PUnion):
+        inner = build_from_pattern(evaluator, env, pattern.value, args_iter)
+        return evaluator.heap.alloc("union", [inner], mutable=False,
+                                    tag=pattern.tag, owner=-1)
+    raise ESPRuntimeError("unhandled interface pattern", pattern.span)
+
+
+def build_value(heap: Heap, t: Type, raw) -> Value:
+    """Convert plain Python data into a heap value of type ``t``:
+    records are sequences of exactly their fields, unions ``(tag,
+    value)`` pairs, arrays sequences, scalars ints or bools."""
+    if isinstance(t, RecordType):
+        if not isinstance(raw, (tuple, list)) or len(raw) != len(t.fields):
+            raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+        data = [build_value(heap, ft, item) for (_, ft), item in zip(t.fields, raw)]
+        return heap.alloc("record", data, t.mutable, owner=-1)
+    if isinstance(t, UnionType):
+        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+            raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+        tag, inner = raw
+        tag_type = t.tag_type(tag)
+        if tag_type is None:
+            raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
+        return heap.alloc("union", [build_value(heap, tag_type, inner)],
+                          t.mutable, tag=tag, owner=-1)
+    if isinstance(t, ArrayType):
+        if not isinstance(raw, (tuple, list)):
+            raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+        data = [build_value(heap, t.element, item) for item in raw]
+        return heap.alloc("array", data, t.mutable, owner=-1)
+    if isinstance(raw, int):  # bools are ints
+        return raw
+    raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+
+
+def extract_args(heap: Heap, pattern: ast.Pattern, value: Value,
+                 args: list) -> None:
+    """Append the host-side values of ``pattern``'s binders, in pattern
+    order, as an external reader receives them."""
+    if isinstance(pattern, ast.PBind):
+        args.append(heap.to_python(value))
+    elif isinstance(pattern, ast.PRecord):
+        obj = heap.get(value)
+        for item, component in zip(pattern.items, obj.data):
+            extract_args(heap, item, component, args)
+    elif isinstance(pattern, ast.PUnion):
+        extract_args(heap, pattern.value, heap.get(value).data[0], args)
+
+
+def shape_match(heap: Heap, shape: Shape, value: Value) -> bool | None:
+    """Definite match test of a value against a static port shape.
+    Returns None when the shape has runtime-dependent constraints."""
+    if isinstance(shape, Wild):
+        return True
+    if isinstance(shape, Eq):
+        return shape.value == value
+    if isinstance(shape, EqUnknown):
+        return None
+    if isinstance(shape, Rec):
+        obj = heap.get(value)
+        if obj.kind != "record" or len(obj.data) != len(shape.items):
+            return False
+        return _verdict([shape_match(heap, item, v)
+                         for item, v in zip(shape.items, obj.data)])
+    if isinstance(shape, Uni):
+        obj = heap.get(value)
+        if obj.kind != "union" or obj.tag != shape.tag:
+            return False
+        return shape_match(heap, shape.value, obj.data[0])
+    return None
+
+
+def _verdict(verdicts: list) -> bool | None:
+    if any(v is False for v in verdicts):
+        return False
+    if all(v is True for v in verdicts):
+        return True
+    return None
+
+
+def out_matchable(heap: Heap, ports: list, block: BlockInfo) -> bool:
+    """Dynamic exhaustiveness (§4.2): False when the blocked ``out``'s
+    message definitely matches none of the channel's receive ports."""
+    if not ports:
+        return True
+    for port in ports:
+        shape = port.shape
+        if block.fused:
+            if not isinstance(shape, Rec) or len(shape.items) != len(block.values):
+                continue
+            verdict = _verdict([shape_match(heap, item, v)
+                                for item, v in zip(shape.items, block.values)])
+        else:
+            verdict = shape_match(heap, shape, block.values[0])
+        if verdict is not False:
+            return True
+    return False
+
+
+class ReferenceBoundary:
+    """The AST walker's side of the machine's pattern boundary.
+
+    :class:`repro.runtime.machine.Machine` reaches every pattern
+    operation — receive tests and binds, postponed alt payloads,
+    external offers, message building, external accepts and the
+    exhaustiveness check — through a boundary object, so one machine
+    serves both Python engines.  This one answers with closures over
+    the reference walkers; :class:`repro.runtime.compile.CompiledBoundary`
+    answers with compiled closures of the same signatures."""
+
+    def __init__(self, program: ir.IRProgram):
+        self.ports = program.ports.ports
+
+    @staticmethod
+    def test(pattern, proc):
+        return lambda machine, ps, value: try_match(
+            machine.evaluator, ps, pattern, value)
+
+    @staticmethod
+    def test_components(pattern, proc):
+        return lambda machine, ps, values: try_match_components(
+            machine.evaluator, ps, pattern, values)
+
+    @staticmethod
+    def bind(pattern, proc):
+        return lambda machine, ps, value, link_binders: match_local(
+            machine.evaluator, ps, pattern, value, link_binders)
+
+    @staticmethod
+    def deliver_components(pattern, proc):
+        return lambda machine, ps, values, fresh: deliver_components(
+            machine.evaluator, ps, pattern, values, fresh)
+
+    @staticmethod
+    def payload(arm, proc):
+        def payload(machine, ps):
+            values, fresh = _evaluate_out(machine.evaluator, ps, arm.expr,
+                                          arm.fused)
+            return values, fresh, arm.fused
+
+        return payload
+
+    @staticmethod
+    def reach(entry_name, entry, pattern, proc):
+        return lambda machine, ps, args: entry_reaches(
+            machine.evaluator, machine._env_ps, entry, iter(args), pattern, ps)
+
+    @staticmethod
+    def build(entry):
+        return lambda machine, args: build_from_pattern(
+            machine.evaluator, machine._env_ps, entry, iter(args))
+
+    @staticmethod
+    def match_entry(entry, fused):
+        def match(machine, values):
+            evaluator, env = machine.evaluator, machine._env_ps
+            if fused:
+                if not try_match_components(evaluator, env, entry, values):
+                    return None
+                pairs = zip(entry.items, values)
+            else:
+                if not try_match(evaluator, env, entry, values[0]):
+                    return None
+                pairs = ((entry, values[0]),)
+            args: list = []
+            for item, value in pairs:
+                extract_args(machine.heap, item, value, args)
+            return tuple(args)
+
+        return match
+
+    def out_check(self, instr):
+        ports = self.ports.get(instr.channel, [])
+        return lambda machine, block: out_matchable(machine.heap, ports, block)

@@ -13,37 +13,40 @@ and exposes the rendezvous mechanics as *moves*:
 The execution scheduler (:mod:`repro.runtime.scheduler`) picks moves
 with a policy; the verifier (:mod:`repro.verify`) branches over all of
 them, using :meth:`snapshot`/:meth:`restore`.
+
+Blocked processes are kept in a per-channel *wait index* (the Python
+counterpart of the generated C's ``wait_mask`` bits, §6.1).  A process
+that resumes, runs or is restored is marked stale, and
+:meth:`enabled_moves` re-indexes only the stale ones, so enumerating
+moves costs what changed since the last enumeration plus the channels
+that have waiters, not every process and arm.
+Pattern work goes through the engine's *boundary*
+(:class:`repro.runtime.compile.CompiledBoundary` or the AST walker's
+:class:`repro.runtime.interp.ReferenceBoundary`).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from bisect import insort
 
 from repro.errors import ESPRuntimeError
 from repro.lang import ast
-from repro.lang.patterns import Eq, EqUnknown, Rec, Shape, Uni, Wild
 from repro.lang.types import ArrayType, RecordType, Type, UnionType
 from repro.ir import nodes as ir
-from repro.runtime.compile import (
-    compile_bind,
-    compile_payload,
-    compile_test,
-    compile_test_components,
-    run_until_block_compiled,
-)
+from repro.runtime.compile import CompiledBoundary, run_until_block_compiled
 from repro.runtime.external import ExternalReader, ExternalWriter
 from repro.runtime.heap import Heap
 from repro.runtime.interp import (
     BlockInfo,
+    EnabledArm,
     Evaluator,
     InterpCounters,
     ProcessState,
+    ReferenceBoundary,
     Status,
-    match_local,
+    build_value,
     run_until_block,
-    try_match,
-    try_match_components,
 )
 from repro.runtime.values import Ref, UNSET, Value
 
@@ -53,17 +56,41 @@ from repro.runtime.values import Ref, UNSET, Value
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rendezvous:
+class _Move:
+    """Plain slot record: equality, hashing and repr by field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__,) + self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Rendezvous(_Move):
     """An internal channel synchronisation between two processes.
 
     Arm indexes are None for plain in/out, or the alt-arm index."""
 
-    channel: str
-    sender_pid: int
-    sender_arm: int | None
-    receiver_pid: int
-    receiver_arm: int | None
+    __slots__ = ("channel", "sender_pid", "sender_arm", "receiver_pid",
+                 "receiver_arm")
+
+    def __init__(self, channel: str, sender_pid: int, sender_arm: int | None,
+                 receiver_pid: int, receiver_arm: int | None):
+        self.channel = channel
+        self.sender_pid = sender_pid
+        self.sender_arm = sender_arm
+        self.receiver_pid = receiver_pid
+        self.receiver_arm = receiver_arm
 
     def describe(self, machine: "Machine") -> str:
         s = machine.processes[self.sender_pid].proc.name
@@ -71,28 +98,37 @@ class Rendezvous:
         return f"{s} -> {r} on {self.channel}"
 
 
-@dataclass(frozen=True)
-class ExternalDeliver:
-    """The external writer of ``channel`` sends one message into ESP."""
+class ExternalDeliver(_Move):
+    """The external writer of ``channel`` sends one message into ESP.
 
-    channel: str
-    entry_name: str
-    args: tuple
-    receiver_pid: int
-    receiver_arm: int | None
+    ``args`` is empty when the writer could not preview them (its
+    ``offers()`` said None); the move then takes them from ``take()``."""
+
+    __slots__ = ("channel", "entry_name", "args", "receiver_pid",
+                 "receiver_arm")
+
+    def __init__(self, channel: str, entry_name: str, args: tuple,
+                 receiver_pid: int, receiver_arm: int | None):
+        self.channel = channel
+        self.entry_name = entry_name
+        self.args = args
+        self.receiver_pid = receiver_pid
+        self.receiver_arm = receiver_arm
 
     def describe(self, machine: "Machine") -> str:
         r = machine.processes[self.receiver_pid].proc.name
         return f"external {self.entry_name}{self.args} -> {r} on {self.channel}"
 
 
-@dataclass(frozen=True)
-class ExternalAccept:
+class ExternalAccept(_Move):
     """The external reader of ``channel`` accepts one ESP message."""
 
-    channel: str
-    sender_pid: int
-    sender_arm: int | None
+    __slots__ = ("channel", "sender_pid", "sender_arm")
+
+    def __init__(self, channel: str, sender_pid: int, sender_arm: int | None):
+        self.channel = channel
+        self.sender_pid = sender_pid
+        self.sender_arm = sender_arm
 
     def describe(self, machine: "Machine") -> str:
         s = machine.processes[self.sender_pid].proc.name
@@ -100,6 +136,38 @@ class ExternalAccept:
 
 
 Move = Rendezvous | ExternalDeliver | ExternalAccept
+
+
+# ---------------------------------------------------------------------------
+# The wait index
+# ---------------------------------------------------------------------------
+
+
+class _Wait:
+    """One (process, arm) blocked on a channel: an entry of the wait
+    index.  ``key`` orders a channel's waiters the way a scan in pid
+    order, then arm order, meets them.  A send has no ``pattern``; a
+    receive carries its pattern and the engine's matchers for it, and
+    fills in ``reach``/``shape`` per interface entry on first use."""
+
+    __slots__ = ("key", "pid", "arm", "ps", "channel", "pattern", "test",
+                 "test_components", "reach", "shape")
+
+    def __init__(self, ps: ProcessState, arm: int | None, channel: str,
+                 pattern: ast.Pattern | None = None):
+        self.key = (ps.pid << 16) | (0 if arm is None else arm + 1)
+        self.pid = ps.pid
+        self.arm = arm
+        self.ps = ps
+        self.channel = channel
+        self.pattern = pattern
+
+    def __lt__(self, other: "_Wait") -> bool:
+        return self.key < other.key
+
+
+def _head_key(waits: list[_Wait]) -> int:
+    return waits[0].key
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +272,17 @@ class Machine:
         self.max_objects = max_objects
         self.print_handler = print_handler
         self.engine = _resolve_engine(engine)
-        self._stepper = (run_until_block if self.engine == "ast"
-                         else run_until_block_compiled)
+        if self.engine == "ast":
+            self._stepper = run_until_block
+            self._boundary = ReferenceBoundary(program)
+        else:
+            self._stepper = run_until_block_compiled
+            self._boundary = CompiledBoundary(program)
+        channels = program.channels
+        self._readers = frozenset(c for c, info in channels.items()
+                                  if info.external == "reader")
+        self._writers = frozenset(c for c, info in channels.items()
+                                  if info.external == "writer")
         self._externals_validated = False
         self.reset()
 
@@ -244,6 +321,19 @@ class Machine:
         self._dirty_procs: set[ProcessState] = set()
         self._sync_state = None
         self._ready: set[ProcessState] = set(self.processes)
+        self._ndone = 0
+        # The wait index: per channel, its blocked senders and receivers
+        # in key order; per process, the waits it is indexed under and
+        # a cache of the waits of every blocking point it has reached.
+        # Processes that resumed, ran or were restored since the last
+        # enumeration are ``_stale``.
+        self._stale: set[ProcessState] = set(self.processes)
+        self._senders: dict[str, list[_Wait]] = {}
+        self._receivers: dict[str, list[_Wait]] = {}
+        self._waits: list[tuple[_Wait, ...]] = [()] * len(self.processes)
+        self._wait_sets: list[dict] = [{} for _ in self.processes]
+        self._send_order: list[list[_Wait]] | None = None
+        self._deliver_order: list[list[_Wait]] | None = None
 
     # -- printing ---------------------------------------------------------------
 
@@ -263,288 +353,233 @@ class Machine:
         Running a process never makes another READY (resumption only
         happens through :meth:`apply`), so one pass in pid order is
         exactly the historical full scan."""
-        self._validate_externals()
+        if not self._externals_validated:
+            self._validate_externals()
         ready = self._ready
         if not ready:
             return 0
         ran = 0
         stepper = self._stepper
-        for ps in sorted(ready, key=_pid_of):
+        counters = self.counters
+        stale = self._stale
+        for ps in (sorted(ready, key=_pid_of) if len(ready) > 1 else list(ready)):
             ready.discard(ps)
-            self.counters.context_switches += 1
+            stale.add(ps)
+            counters.context_switches += 1
             stepper(self, ps)
-            if ps.status is Status.BLOCKED and ps.block.kind == "out":
-                self._check_out_matchable(ps)
+            if ps.status is Status.DONE:
+                self._ndone += 1
+            elif ps.block.kind == "out":
+                self._check_out(ps)
             ran += 1
         return ran
 
-    def _check_out_matchable(self, ps: ProcessState) -> None:
+    def _check_out(self, ps: ProcessState) -> None:
         """Dynamic exhaustiveness (§4.2): a message must match exactly
         one pattern; flag eagerly when it can match none."""
         block = ps.block
-        ports = self.program.ports.ports.get(block.channel, [])
-        if not ports:
+        if not self._boundary.out_check(ps.proc.instrs[ps.pc])(self, block):
+            raise ESPRuntimeError(
+                f"message sent by '{ps.proc.name}' on channel '{block.channel}' "
+                "matches no receive pattern",
+            )
+
+    # -- the wait index --------------------------------------------------------------
+
+    def _index(self, ps: ProcessState) -> None:
+        """Bring the wait index up to date with a stale ``ps``.  Waits
+        are built once per blocking point (the pc, plus the enabled arms
+        of an ``alt``), so a process found blocked where it was indexed
+        last time leaves the index, and the cached channel orders,
+        untouched."""
+        pid = ps.pid
+        old = self._waits[pid]
+        if ps.status is Status.BLOCKED:
+            block = ps.block
+            point = (ps.pc if block.kind != "alt"
+                     else (ps.pc, *[e.index for e in block.arms]))
+            points = self._wait_sets[pid]
+            new = points.get(point)
+            if new is None:
+                new = points[point] = self._make_waits(ps, block)
+        else:
+            new = ()
+        if new is old:
             return
-        for port in ports:
-            verdict = self._value_vs_shape(port.shape, block)
-            if verdict is not False:
-                return
-        raise ESPRuntimeError(
-            f"message sent by '{ps.proc.name}' on channel '{block.channel}' "
-            "matches no receive pattern",
+        self._waits[pid] = new
+        # A cached channel order goes stale only when one of its
+        # channels appears, empties or changes its first waiter.
+        for w in old:
+            index = self._senders if w.pattern is None else self._receivers
+            waits = index[w.channel]
+            if len(waits) == 1:
+                del index[w.channel]
+            elif waits[0] is not w:
+                waits.remove(w)
+                continue
+            else:
+                del waits[0]
+            self._reorder(w)
+        for w in new:
+            index = self._senders if w.pattern is None else self._receivers
+            waits = index.get(w.channel)
+            if waits is None:
+                index[w.channel] = [w]
+            else:
+                insort(waits, w)
+                if waits[0] is not w:
+                    continue
+            self._reorder(w)
+
+    def _reorder(self, w: _Wait) -> None:
+        if w.pattern is None:
+            self._send_order = None
+        elif w.channel in self._writers:
+            self._deliver_order = None
+
+    def _make_waits(self, ps: ProcessState, block: BlockInfo) -> tuple:
+        if block.kind == "out":
+            return (_Wait(ps, None, block.channel),)
+        if block.kind == "in":
+            return (self._receive_wait(ps, None, block.channel, block.pattern),)
+        return tuple(
+            self._receive_wait(ps, e.index, e.arm.channel, e.arm.pattern)
+            if e.arm.kind == "in" else _Wait(ps, e.index, e.arm.channel)
+            for e in block.arms
         )
 
-    def _value_vs_shape(self, shape: Shape, block: BlockInfo) -> bool | None:
-        if block.fused:
-            if not isinstance(shape, Rec) or len(shape.items) != len(block.values):
-                return False
-            verdicts = [
-                _shape_match(self.heap, item, v)
-                for item, v in zip(shape.items, block.values)
-            ]
-        else:
-            verdicts = [_shape_match(self.heap, shape, block.values[0])]
-        if any(v is False for v in verdicts):
-            return False
-        if all(v is True for v in verdicts):
-            return True
-        return None
+    def _receive_wait(self, ps: ProcessState, arm: int | None, channel: str,
+                      pattern: ast.Pattern) -> _Wait:
+        w = _Wait(ps, arm, channel, pattern)
+        w.test = self._boundary.test(pattern, ps.proc)
+        w.test_components = self._boundary.test_components(pattern, ps.proc)
+        w.reach = {}
+        w.shape = {}
+        return w
 
     # -- move enumeration ------------------------------------------------------------
 
     def enabled_moves(self) -> list[Move]:
         """Every synchronisation currently possible (the machine's full
-        nondeterminism)."""
+        nondeterminism), in a fixed order that schedulers and
+        counterexample paths index into.  Channels with blocked senders
+        come first, ordered by their first sender in (pid, arm) order:
+        an external-reader channel yields one accept per sender (if its
+        bridge can accept), an internal channel every matching
+        (sender, receiver) pair, senders outer, both in (pid, arm)
+        order.  Then external-writer channels with blocked receivers,
+        ordered by their first receiver: one delivery per offer and
+        reachable receiver, offers outer."""
+        stale = self._stale
+        if stale:
+            index = self._index
+            for ps in stale:
+                index(ps)
+            stale.clear()
         moves: list[Move] = []
-        senders = self._out_slots()
-        receivers = self._in_slots()
-        for channel, sends in senders.items():
-            info = self.program.channels.get(channel)
-            if info is not None and info.external == "reader":
-                bridge = self.externals[channel]
-                if bridge.can_accept():
-                    for pid, arm in sends:
-                        moves.append(ExternalAccept(channel, pid, arm))
-                continue
-            for s_pid, s_arm in sends:
-                for r_pid, r_arm in receivers.get(channel, []):
-                    if r_pid == s_pid:
+        externals = self.externals
+        receivers = self._receivers
+        if self._senders:
+            order = self._send_order
+            if order is None:
+                order = self._send_order = sorted(self._senders.values(),
+                                                  key=_head_key)
+            counters = self.counters
+            readers = self._readers
+            for sends in order:
+                channel = sends[0].channel
+                if channel in readers:
+                    if externals[channel].can_accept():
+                        for s in sends:
+                            moves.append(ExternalAccept(channel, s.pid, s.arm))
+                    continue
+                recvs = receivers.get(channel)
+                if recvs is None:
+                    continue
+                for s in sends:
+                    s_pid, s_arm = s.pid, s.arm
+                    if s_arm is not None:
+                        # Postponed alt-out payload (§6.1): pair on
+                        # channel availability.
+                        for r in recvs:
+                            if r.pid != s_pid:
+                                moves.append(Rendezvous(channel, s_pid, s_arm,
+                                                        r.pid, r.arm))
                         continue
-                    if self._pair_matches(s_pid, s_arm, r_pid, r_arm, channel):
-                        moves.append(
-                            Rendezvous(channel, s_pid, s_arm, r_pid, r_arm)
-                        )
-        for channel, recvs in receivers.items():
-            info = self.program.channels.get(channel)
-            if info is None or info.external != "writer":
-                continue
-            bridge = self.externals[channel]
-            for entry_name, args in bridge.offers():
-                pattern = self.program.interfaces[channel][entry_name]
-                for r_pid, r_arm in recvs:
-                    if self._entry_reaches(pattern, tuple(args or ()), r_pid, r_arm):
-                        moves.append(
-                            ExternalDeliver(channel, entry_name,
-                                            tuple(args or ()), r_pid, r_arm)
-                        )
+                    block = s.ps.block
+                    values, fused = block.values, block.fused
+                    for r in recvs:
+                        if r.pid == s_pid:
+                            continue
+                        counters.matches += 1
+                        if (r.test_components(self, r.ps, values) if fused
+                                else r.test(self, r.ps, values[0])):
+                            moves.append(Rendezvous(channel, s_pid, None,
+                                                    r.pid, r.arm))
+        if receivers:
+            order = self._deliver_order
+            if order is None:
+                writers = self._writers
+                order = self._deliver_order = sorted(
+                    [waits for channel, waits in receivers.items()
+                     if channel in writers],
+                    key=_head_key,
+                )
+            for recvs in order:
+                channel = recvs[0].channel
+                offers = externals[channel].offers()
+                if offers:
+                    self._deliveries(channel, recvs, offers, moves)
         return moves
 
-    def _out_slots(self) -> dict[str, list[tuple[int, int | None]]]:
-        slots: dict[str, list[tuple[int, int | None]]] = {}
-        for ps in self.processes:
-            if ps.status is not Status.BLOCKED:
+    def _deliveries(self, channel: str, recvs: list[_Wait], offers,
+                    moves: list[Move]) -> None:
+        """Append the deliveries of an external writer's offers.  Args
+        None: the writer cannot preview them, so the entry is offered
+        on its shape to every receiver whose pattern it could match, and
+        the values are checked when ``take()`` supplies them.  A tuple
+        must cover every binder and convert to its type (else the offer
+        is undeliverable) and is matched against each receiver."""
+        entries = self.program.interfaces[channel]
+        for entry_name, args in offers:
+            entry = entries[entry_name]
+            if args is None:
+                for r in recvs:
+                    fits = r.shape.get(entry_name)
+                    if fits is None:
+                        fits = r.shape[entry_name] = _patterns_compatible(
+                            entry, r.pattern)
+                    if fits:
+                        moves.append(ExternalDeliver(channel, entry_name, (),
+                                                     r.pid, r.arm))
                 continue
-            block = ps.block
-            if block.kind == "out":
-                slots.setdefault(block.channel, []).append((ps.pid, None))
-            elif block.kind == "alt":
-                for enabled in block.arms:
-                    if enabled.arm.kind == "out":
-                        slots.setdefault(enabled.arm.channel, []).append(
-                            (ps.pid, enabled.index)
-                        )
-        return slots
-
-    def _in_slots(self) -> dict[str, list[tuple[int, int | None]]]:
-        slots: dict[str, list[tuple[int, int | None]]] = {}
-        for ps in self.processes:
-            if ps.status is not Status.BLOCKED:
+            args = tuple(args)
+            if not _admits(entry, args):
                 continue
-            block = ps.block
-            if block.kind == "in":
-                slots.setdefault(block.channel, []).append((ps.pid, None))
-            elif block.kind == "alt":
-                for enabled in block.arms:
-                    if enabled.arm.kind == "in":
-                        slots.setdefault(enabled.arm.channel, []).append(
-                            (ps.pid, enabled.index)
-                        )
-        return slots
+            for r in recvs:
+                reach = r.reach.get(entry_name)
+                if reach is None:
+                    reach = r.reach[entry_name] = self._boundary.reach(
+                        entry_name, entry, r.pattern, r.ps.proc)
+                if reach(self, r.ps, args):
+                    moves.append(ExternalDeliver(channel, entry_name, args,
+                                                 r.pid, r.arm))
 
-    def _sender_payload(self, s_pid: int, s_arm: int | None):
-        """(values, fresh, fused) for a blocked sender, or None when the
-        payload is not evaluated yet (alt out-arm: postponed, §6.1)."""
-        ps = self.processes[s_pid]
-        if s_arm is None:
-            block = ps.block
-            return block.values, block.fresh, block.fused
-        return None
-
-    def _receiver_pattern(self, r_pid: int, r_arm: int | None) -> ast.Pattern:
-        ps = self.processes[r_pid]
+    def _receiver_pattern(self, receiver: ProcessState,
+                          r_arm: int | None) -> ast.Pattern:
         if r_arm is None:
-            return ps.block.pattern
-        instr = ps.proc.instrs[ps.pc]
-        return instr.arms[r_arm].pattern
-
-    def _pair_matches(self, s_pid, s_arm, r_pid, r_arm, channel) -> bool:
-        payload = self._sender_payload(s_pid, s_arm)
-        if payload is None:
-            # Postponed alt-out payload: pair on channel availability.
-            return True
-        values, _fresh, fused = payload
-        pattern = self._receiver_pattern(r_pid, r_arm)
-        receiver = self.processes[r_pid]
-        self.counters.matches += 1
-        if self.engine == "compiled":
-            if fused:
-                return self._ctest_components(pattern, receiver)(
-                    self, receiver, values
-                )
-            return self._ctest(pattern, receiver)(self, receiver, values[0])
-        if fused:
-            return try_match_components(self.evaluator, receiver, pattern, values)
-        return try_match(self.evaluator, receiver, pattern, values[0])
-
-    # -- precompiled pattern dispatchers (compiled engine) -----------------------
-
-    def _ctest(self, pattern: ast.Pattern, receiver: ProcessState):
-        """Cached compiled matcher for a receiver-owned pattern (each
-        pattern node belongs to exactly one process's instrs)."""
-        fn = getattr(pattern, "_ctest_fn", None)
-        if fn is None:
-            fn = compile_test(pattern, receiver.proc, self.program.consts)
-            pattern._ctest_fn = fn
-        return fn
-
-    def _ctest_components(self, pattern: ast.Pattern, receiver: ProcessState):
-        fn = getattr(pattern, "_ctestc_fn", None)
-        if fn is None:
-            fn = compile_test_components(pattern, receiver.proc,
-                                         self.program.consts)
-            pattern._ctestc_fn = fn
-        return fn
-
-    def _cbind(self, pattern: ast.Pattern, receiver: ProcessState):
-        fn = getattr(pattern, "_cbind_fn", None)
-        if fn is None:
-            fn = compile_bind(pattern, receiver.proc, self.program.consts)
-            pattern._cbind_fn = fn
-        return fn
-
-    def _entry_reaches(self, pattern: ast.Pattern, args: tuple, r_pid: int,
-                       r_arm: int | None) -> bool:
-        """Value-level test: would the message built from this interface
-        entry with these args match this receiver's waiting pattern?
-        Walks both patterns together, so no message is allocated."""
-        receiver_pattern = self._receiver_pattern(r_pid, r_arm)
-        receiver = self.processes[r_pid]
-        return self._entry_vs_pattern(pattern, iter(args), receiver_pattern, receiver)
-
-    def _entry_vs_pattern(self, entry: ast.Pattern, args_iter,
-                          receiver_pattern: ast.Pattern,
-                          receiver: ProcessState) -> bool:
-        if isinstance(entry, ast.PBind):
-            try:
-                raw = next(args_iter)
-            except StopIteration:
-                return False
-            return self._python_vs_pattern(raw, entry.type, receiver_pattern, receiver)
-        if isinstance(entry, ast.PEq):
-            value, _ = self.evaluator.eval(entry.expr, self._env_ps)
-            return self._scalar_vs_pattern(value, receiver_pattern, receiver)
-        if isinstance(entry, ast.PRecord):
-            if isinstance(receiver_pattern, (ast.PBind,)):
-                # Whole-message bind: consume args to keep the iterator
-                # aligned, always matches.
-                for item in entry.items:
-                    if not self._entry_vs_pattern(
-                        item, args_iter, ast.PBind(item.span, name="_"), receiver
-                    ):
-                        return False
-                return True
-            if getattr(receiver_pattern, "is_store", False):
-                return True
-            if not isinstance(receiver_pattern, ast.PRecord):
-                return False
-            if len(entry.items) != len(receiver_pattern.items):
-                return False
-            return all(
-                self._entry_vs_pattern(e, args_iter, r, receiver)
-                for e, r in zip(entry.items, receiver_pattern.items)
-            )
-        if isinstance(entry, ast.PUnion):
-            if isinstance(receiver_pattern, ast.PBind) or getattr(
-                receiver_pattern, "is_store", False
-            ):
-                return True
-            if not isinstance(receiver_pattern, ast.PUnion):
-                return False
-            if entry.tag != receiver_pattern.tag:
-                return False
-            return self._entry_vs_pattern(
-                entry.value, args_iter, receiver_pattern.value, receiver
-            )
-        return True
-
-    def _python_vs_pattern(self, raw, t: Type, receiver_pattern: ast.Pattern,
-                           receiver: ProcessState) -> bool:
-        """Match plain Python data (a binder argument) against the
-        receiver's pattern without allocating."""
-        if isinstance(receiver_pattern, ast.PBind) or getattr(
-            receiver_pattern, "is_store", False
-        ):
-            return True
-        if isinstance(receiver_pattern, ast.PEq):
-            expected, _ = self.evaluator.eval(receiver_pattern.expr, receiver)
-            return expected == raw
-        if isinstance(receiver_pattern, ast.PRecord):
-            if not isinstance(t, RecordType) or len(raw) != len(receiver_pattern.items):
-                return False
-            return all(
-                self._python_vs_pattern(item, ft, rp, receiver)
-                for item, (_, ft), rp in zip(raw, t.fields, receiver_pattern.items)
-            )
-        if isinstance(receiver_pattern, ast.PUnion):
-            if not isinstance(t, UnionType):
-                return False
-            tag, inner = raw
-            if tag != receiver_pattern.tag:
-                return False
-            return self._python_vs_pattern(
-                inner, t.tag_type(tag), receiver_pattern.value, receiver
-            )
-        return False
-
-    def _scalar_vs_pattern(self, value, receiver_pattern: ast.Pattern,
-                           receiver: ProcessState) -> bool:
-        if isinstance(receiver_pattern, ast.PBind) or getattr(
-            receiver_pattern, "is_store", False
-        ):
-            return True
-        if isinstance(receiver_pattern, ast.PEq):
-            expected, _ = self.evaluator.eval(receiver_pattern.expr, receiver)
-            return expected == value
-        return False
+            return receiver.block.pattern
+        return receiver.proc.instrs[receiver.pc].arms[r_arm].pattern
 
     # -- applying moves ------------------------------------------------------------
 
     def apply(self, move: Move) -> None:
-        if isinstance(move, Rendezvous):
+        kind = type(move)
+        if kind is Rendezvous:
             self._apply_rendezvous(move)
-        elif isinstance(move, ExternalDeliver):
+        elif kind is ExternalDeliver:
             self._apply_external_deliver(move)
-        elif isinstance(move, ExternalAccept):
+        elif kind is ExternalAccept:
             self._apply_external_accept(move)
         else:
             raise ESPRuntimeError(f"unknown move {move!r}")
@@ -554,19 +589,13 @@ class Machine:
         sender = self.processes[move.sender_pid]
         receiver = self.processes[move.receiver_pid]
         values, fresh, fused = self._take_sender_payload(sender, move.sender_arm)
-        pattern = self._receiver_pattern(move.receiver_pid, move.receiver_arm)
-        if self.engine == "compiled":
-            ok = (
-                self._ctest_components(pattern, receiver)(self, receiver, values)
-                if fused
-                else self._ctest(pattern, receiver)(self, receiver, values[0])
-            )
+        pattern = self._receiver_pattern(receiver, move.receiver_arm)
+        if fused:
+            test = self._boundary.test_components(pattern, receiver.proc)
+            ok = test(self, receiver, values)
         else:
-            ok = (
-                try_match_components(self.evaluator, receiver, pattern, values)
-                if fused
-                else try_match(self.evaluator, receiver, pattern, values[0])
-            )
+            ok = self._boundary.test(pattern, receiver.proc)(
+                self, receiver, values[0])
         if not ok:
             raise ESPRuntimeError(
                 f"message from '{sender.proc.name}' does not match the waiting "
@@ -577,81 +606,31 @@ class Machine:
         self._resume_receiver(receiver, move.receiver_arm)
 
     def _take_sender_payload(self, sender: ProcessState, s_arm: int | None):
+        """(values, fresh, fused) of a sender's message; an alt out-arm
+        evaluates its payload only now (postponed, §6.1)."""
         if s_arm is None:
             block = sender.block
             return block.values, block.fresh, block.fused
-        # Postponed evaluation of an alt out-arm (§6.1).
-        instr = sender.proc.instrs[sender.pc]
-        arm = instr.arms[s_arm]
-        if self.engine == "compiled":
-            fn = getattr(arm, "_cpayload_fn", None)
-            if fn is None:
-                fn = compile_payload(arm, sender.proc, self.program.consts)
-                arm._cpayload_fn = fn
-            return fn(self, sender)
-        if arm.fused:
-            values, fresh = [], []
-            for item in arm.expr.items:
-                v, f = self.evaluator.eval(item, sender)
-                values.append(v)
-                fresh.append(f)
-            return values, fresh, True
-        v, f = self.evaluator.eval(arm.expr, sender)
-        return [v], [f], False
+        arm = sender.proc.instrs[sender.pc].arms[s_arm]
+        return self._boundary.payload(arm, sender.proc)(self, sender)
 
     def _deliver(self, receiver: ProcessState, pattern: ast.Pattern,
                  values: list[Value], fresh: list[bool], fused: bool) -> None:
         receiver.version += 1  # dirty for copy-on-write snapshots
         self._dirty_procs.add(receiver)
-        heap = self.heap
-        compiled = self.engine == "compiled"
-        if not fused:
-            value, f = values[0], fresh[0]
-            bind = (self._cbind(pattern, receiver) if compiled else None)
-            if isinstance(value, Ref):
-                if not f:
-                    heap.link(value)  # the pointer-send "copy" (§6.1)
-                if compiled:
-                    bind(self, receiver, value, True)
-                else:
-                    match_local(self.evaluator, receiver, pattern, value,
-                                link_binders=True)
-                heap.unlink(value)
-            elif compiled:
-                bind(self, receiver, value, False)
-            else:
-                match_local(self.evaluator, receiver, pattern, value,
-                            link_binders=False)
+        if fused:
+            self._boundary.deliver_components(pattern, receiver.proc)(
+                self, receiver, values, fresh)
             return
-        assert isinstance(pattern, ast.PRecord)
-        for item, value, f in zip(pattern.items, values, fresh):
-            self._deliver_component(receiver, item, value, f)
-
-    def _deliver_component(self, receiver: ProcessState, item: ast.Pattern,
-                           value: Value, fresh: bool) -> None:
-        heap = self.heap
-        if isinstance(item, ast.PBind):
-            if isinstance(value, Ref) and not fresh:
-                heap.link(value)
-            receiver.frame[receiver.proc.slot_of[item.unique_name]] = value
-            return
-        if isinstance(item, ast.PEq):
-            if getattr(item, "is_store", False):
-                from repro.runtime.interp import store_into
-
-                store_into(self.evaluator, receiver, item.expr, value, fresh=fresh)
-                return
-            expected, _ = self.evaluator.eval(item.expr, receiver)
-            if expected != value:
-                raise ESPRuntimeError("fused delivery equality mismatch", item.span)
-            return
-        # Nested destructure of an aggregate component.
-        if self.engine == "compiled":
-            self._cbind(item, receiver)(self, receiver, value, True)
+        value = values[0]
+        bind = self._boundary.bind(pattern, receiver.proc)
+        if isinstance(value, Ref):
+            if not fresh[0]:
+                self.heap.link(value)  # the pointer-send "copy" (§6.1)
+            bind(self, receiver, value, True)
+            self.heap.unlink(value)
         else:
-            match_local(self.evaluator, receiver, item, value, link_binders=True)
-        if fresh and isinstance(value, Ref):
-            heap.unlink(value)
+            bind(self, receiver, value, False)
 
     def _resume_sender(self, sender: ProcessState, s_arm: int | None) -> None:
         sender.version += 1  # dirty for copy-on-write snapshots
@@ -665,6 +644,7 @@ class Machine:
         sender.block = None
         sender.wait_mask = 0
         self._ready.add(sender)
+        self._stale.add(sender)
 
     def _resume_receiver(self, receiver: ProcessState, r_arm: int | None) -> None:
         self._resume_sender(receiver, r_arm)  # identical mechanics
@@ -675,12 +655,11 @@ class Machine:
         bridge: ExternalWriter = self.externals[move.channel]
         taken = bridge.take(move.entry_name)
         args = move.args if move.args else tuple(taken or ())
-        pattern = self.program.interfaces[move.channel][move.entry_name]
-        args_iter = iter(args)
-        value = self._build_from_pattern(pattern, args_iter)
+        entry = self.program.interfaces[move.channel][move.entry_name]
+        value = self._boundary.build(entry)(self, args)
         receiver = self.processes[move.receiver_pid]
-        receiver_pattern = self._receiver_pattern(move.receiver_pid, move.receiver_arm)
-        if not try_match(self.evaluator, receiver, receiver_pattern, value):
+        pattern = self._receiver_pattern(receiver, move.receiver_arm)
+        if not self._boundary.test(pattern, receiver.proc)(self, receiver, value):
             # Values turned out not to match (e.g. an Eq constraint):
             # reclaim and report — disjointness made this a program error.
             if isinstance(value, Ref):
@@ -689,15 +668,20 @@ class Machine:
                 f"external message '{move.entry_name}' does not match the "
                 f"waiting pattern on '{move.channel}'"
             )
-        self._deliver(receiver, receiver_pattern, [value], [True], fused=False)
+        self._deliver(receiver, pattern, [value], [True], fused=False)
         self._resume_receiver(receiver, move.receiver_arm)
 
     def _apply_external_accept(self, move: ExternalAccept) -> None:
         bridge: ExternalReader = self.externals[move.channel]
         sender = self.processes[move.sender_pid]
         values, fresh, fused = self._take_sender_payload(sender, move.sender_arm)
-        entries = self.program.interfaces.get(move.channel, {})
-        entry_name, args = self._match_entry(entries, values, fused)
+        for entry_name, entry in self.program.interfaces.get(move.channel,
+                                                             {}).items():
+            args = self._boundary.match_entry(entry, fused)(self, values)
+            if args is not None:
+                break
+        else:
+            raise ESPRuntimeError("message matches no external interface entry")
         bridge.accept(entry_name, args)
         # Consume the message: fresh parts are reclaimed, borrowed parts
         # stay with the sender (the host side received a copy).
@@ -706,82 +690,9 @@ class Machine:
                 self.heap.unlink(value)
         self._resume_sender(sender, move.sender_arm)
 
-    def _match_entry(self, entries: dict[str, ast.Pattern],
-                     values: list[Value], fused: bool) -> tuple[str, tuple]:
-        for entry_name, pattern in entries.items():
-            if fused:
-                ok = try_match_components(self.evaluator, self._env_ps, pattern, values)
-            else:
-                ok = try_match(self.evaluator, self._env_ps, pattern, values[0])
-            if ok:
-                args: list = []
-                if fused:
-                    for item, value in zip(pattern.items, values):
-                        self._extract_args(item, value, args)
-                else:
-                    self._extract_args(pattern, values[0], args)
-                return entry_name, tuple(args)
-        raise ESPRuntimeError("message matches no external interface entry")
-
-    def _extract_args(self, pattern: ast.Pattern, value: Value, args: list) -> None:
-        if isinstance(pattern, ast.PBind):
-            args.append(self.heap.to_python(value))
-            return
-        if isinstance(pattern, ast.PEq):
-            return
-        if isinstance(pattern, ast.PRecord):
-            obj = self.heap.get(value)
-            for item, component in zip(pattern.items, obj.data):
-                self._extract_args(item, component, args)
-            return
-        if isinstance(pattern, ast.PUnion):
-            obj = self.heap.get(value)
-            self._extract_args(pattern.value, obj.data[0], args)
-
-    def _build_from_pattern(self, pattern: ast.Pattern, args_iter) -> Value:
-        """Construct a fresh message from an interface entry pattern and
-        the host-supplied binder arguments (in pattern order)."""
-        if isinstance(pattern, ast.PBind):
-            try:
-                raw = next(args_iter)
-            except StopIteration:
-                raise ESPRuntimeError(
-                    f"external message missing argument for binder "
-                    f"'{pattern.name}'", pattern.span
-                )
-            return self.build_value(pattern.type, raw)
-        if isinstance(pattern, ast.PEq):
-            value, _ = self.evaluator.eval(pattern.expr, self._env_ps)
-            return value
-        if isinstance(pattern, ast.PRecord):
-            data = [self._build_from_pattern(item, args_iter) for item in pattern.items]
-            return self.heap.alloc("record", data, mutable=False, owner=-1)
-        if isinstance(pattern, ast.PUnion):
-            inner = self._build_from_pattern(pattern.value, args_iter)
-            return self.heap.alloc("union", [inner], mutable=False,
-                                   tag=pattern.tag, owner=-1)
-        raise ESPRuntimeError("unhandled interface pattern", pattern.span)
-
     def build_value(self, t: Type, raw) -> Value:
         """Convert plain Python data into a heap value of type ``t``."""
-        if isinstance(t, RecordType):
-            data = [self.build_value(ft, item) for (_, ft), item in zip(t.fields, raw)]
-            return self.heap.alloc("record", data, t.mutable, owner=-1)
-        if isinstance(t, UnionType):
-            tag, inner = raw
-            tag_type = t.tag_type(tag)
-            if tag_type is None:
-                raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
-            return self.heap.alloc(
-                "union", [self.build_value(tag_type, inner)], t.mutable,
-                tag=tag, owner=-1,
-            )
-        if isinstance(t, ArrayType):
-            data = [self.build_value(t.element, item) for item in raw]
-            return self.heap.alloc("array", data, t.mutable, owner=-1)
-        if isinstance(raw, bool) or isinstance(raw, int):
-            return raw
-        raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
+        return build_value(self.heap, t, raw)
 
     # -- status ---------------------------------------------------------------------
 
@@ -789,7 +700,7 @@ class Machine:
         return all(ps.status is not Status.READY for ps in self.processes)
 
     def all_done(self) -> bool:
-        return all(ps.status is Status.DONE for ps in self.processes)
+        return self._ndone == len(self.processes)
 
     def blocked_processes(self) -> list[ProcessState]:
         return [ps for ps in self.processes if ps.status is Status.BLOCKED]
@@ -909,15 +820,20 @@ class Machine:
             return
         counters.proc_restores += 1
         pc, frame, status, block, wait_mask = rec
+        if ps.status is Status.DONE:
+            self._ndone -= 1
         ps.pc = pc
         ps.frame = list(frame)
         ps.status = status
+        ps.wait_mask = wait_mask
+        ps.block = self._rebuild_block(ps, block)
         if status is Status.READY:
             self._ready.add(ps)
         else:
+            if status is Status.DONE:
+                self._ndone += 1
             self._ready.discard(ps)
-        ps.wait_mask = wait_mask
-        ps.block = self._rebuild_block(ps, block)
+        self._stale.add(ps)
         ps.version += 1
         ps._record = rec
         ps._record_version = ps.version
@@ -1008,8 +924,6 @@ class Machine:
         if kind == "in":
             info.pattern = instr.pattern
         elif kind == "alt":
-            from repro.runtime.interp import EnabledArm
-
             info.arms = [EnabledArm(arm=instr.arms[i], index=i) for i in arm_indexes]
         return info
 
@@ -1032,37 +946,8 @@ def _decode_value(v):
 
 
 # ---------------------------------------------------------------------------
-# Static shape-vs-value matching (dynamic exhaustiveness check)
+# External offers
 # ---------------------------------------------------------------------------
-
-
-def _shape_match(heap: Heap, shape: Shape, value: Value) -> bool | None:
-    """Definite match test of a value against a static port shape.
-    Returns None when the shape has runtime-dependent constraints."""
-    if isinstance(shape, Wild):
-        return True
-    if isinstance(shape, Eq):
-        return shape.value == value
-    if isinstance(shape, EqUnknown):
-        return None
-    if isinstance(shape, Rec):
-        obj = heap.get(value)
-        if obj.kind != "record" or len(obj.data) != len(shape.items):
-            return False
-        verdicts = [
-            _shape_match(heap, item, v) for item, v in zip(shape.items, obj.data)
-        ]
-        if any(v is False for v in verdicts):
-            return False
-        if all(v is True for v in verdicts):
-            return True
-        return None
-    if isinstance(shape, Uni):
-        obj = heap.get(value)
-        if obj.kind != "union" or obj.tag != shape.tag:
-            return False
-        return _shape_match(heap, shape.value, obj.data[0])
-    return None
 
 
 def _patterns_compatible(a: ast.Pattern, b: ast.Pattern) -> bool:
@@ -1079,3 +964,58 @@ def _patterns_compatible(a: ast.Pattern, b: ast.Pattern) -> bool:
     if isinstance(a, ast.PUnion) and isinstance(b, ast.PUnion):
         return a.tag == b.tag and _patterns_compatible(a.value, b.value)
     return False
+
+
+def _admits(entry: ast.Pattern, args: tuple) -> bool:
+    """Can ``args`` be delivered through interface entry ``entry``?
+    They must cover every binder and convert to the binder's type."""
+    admit = getattr(entry, "_admit_fn", None)
+    if admit is None:
+        admit = entry._admit_fn = _compile_admit(tuple(_binder_types(entry)))
+    return admit(args)
+
+
+def _compile_admit(types: tuple):
+    arity = len(types)
+    if any(isinstance(t, (RecordType, UnionType, ArrayType)) for t in types):
+        return lambda args: len(args) >= arity and all(
+            _encodable(t, raw) for t, raw in zip(types, args))
+
+    def admit_scalars(args):
+        if len(args) < arity:
+            return False
+        for raw, _ in zip(args, types):
+            if not isinstance(raw, int):  # bools are ints
+                return False
+        return True
+
+    return admit_scalars
+
+
+def _binder_types(pattern: ast.Pattern):
+    """An interface entry's binder types, in argument order."""
+    if isinstance(pattern, ast.PBind):
+        yield pattern.type
+    elif isinstance(pattern, ast.PRecord):
+        for item in pattern.items:
+            yield from _binder_types(item)
+    elif isinstance(pattern, ast.PUnion):
+        yield from _binder_types(pattern.value)
+
+
+def _encodable(t: Type, raw) -> bool:
+    """Would :func:`repro.runtime.interp.build_value` accept ``raw`` as
+    a value of type ``t``?  (Checked without allocating.)"""
+    if isinstance(t, RecordType):
+        return (isinstance(raw, (tuple, list)) and len(raw) == len(t.fields)
+                and all(_encodable(ft, item)
+                        for (_, ft), item in zip(t.fields, raw)))
+    if isinstance(t, UnionType):
+        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+            return False
+        tag_type = t.tag_type(raw[0])
+        return tag_type is not None and _encodable(tag_type, raw[1])
+    if isinstance(t, ArrayType):
+        return isinstance(raw, (tuple, list)) and all(
+            _encodable(t.element, item) for item in raw)
+    return isinstance(raw, int)  # bools are ints

@@ -64,13 +64,6 @@ class _SpanText:
         return f"_SpanText({self._text!r})"
 
 
-class _EncodeError(Exception):
-    """Host data could not be encoded (malformed external argument);
-    at enumerate time the move stays optimistically enabled (mirroring
-    the Python walk, which does not inspect scalar binder data), and
-    the strict re-encode at apply time raises the real error."""
-
-
 # ---------------------------------------------------------------------------
 # Value codec: the self-describing long-long encoding shared with the
 # generated code (see runtime_c.py, "event ring + value codec").
@@ -112,49 +105,43 @@ def _decode_val(words, pos: int, tree: dict):
     return out, pos
 
 
-def _encode_val(raw, tree: dict, out: list, strict: bool) -> None:
-    """Mirror of ``Machine.build_value``: plain Python data → encoding.
-
-    ``strict=False`` is the enumerate-time probe (malformed data must
-    not raise — the Python engines only inspect it at apply time):
-    unknown union tags become the ``[2, -1, [0, 0]]`` sentinel that
-    matches no union pattern but passes a whole-message bind, and any
-    other conversion failure raises :class:`_EncodeError` (the caller
-    treats the move as optimistically enabled).
-    """
+def _encode_val(raw, tree: dict, out: list) -> None:
+    """Mirror of ``interp.build_value``: plain Python data → encoding,
+    raising the same errors for data that does not convert."""
     k = tree["k"]
+    if k in ("record", "union", "array") and not isinstance(raw, (tuple, list)):
+        raise ESPRuntimeError(f"cannot convert {raw!r} to {tree['s']}")
     if k == "record":
-        items = list(zip(tree["fields"], raw))
+        fields = tree["fields"]
+        if len(raw) != len(fields):
+            raise ESPRuntimeError(f"cannot convert {raw!r} to {tree['s']}")
         out.append(1)
-        out.append(len(items))
-        for sub, item in items:
-            _encode_val(item, sub, out, strict)
+        out.append(len(fields))
+        for sub, item in zip(fields, raw):
+            _encode_val(item, sub, out)
         return
     if k == "union":
+        if len(raw) != 2:
+            raise ESPRuntimeError(f"cannot convert {raw!r} to {tree['s']}")
         tag, inner = raw
         for index, (name, sub) in enumerate(tree["tags"]):
             if name == tag:
                 out.append(2)
                 out.append(index)
-                _encode_val(inner, sub, out, strict)
+                _encode_val(inner, sub, out)
                 return
-        if strict:
-            raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
-        out.extend((2, -1, 0, 0))
-        return
+        raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
     if k == "array":
         out.append(3)
         out.append(len(raw))
         for item in raw:
-            _encode_val(item, tree["elem"], out, strict)
+            _encode_val(item, tree["elem"], out)
         return
-    if isinstance(raw, bool) or isinstance(raw, int):
+    if isinstance(raw, int):  # bools are ints
         out.append(0)
         out.append(int(raw))
         return
-    if strict:
-        raise ESPRuntimeError(f"cannot convert {raw!r} to {tree['s']}")
-    raise _EncodeError(repr(raw))
+    raise ESPRuntimeError(f"cannot convert {raw!r} to {tree['s']}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +289,13 @@ class NativeMachine:
                 row["entry"]: (idx, row["binders"])
                 for idx, row in enumerate(rows)
             }
+        # channel name -> entry name -> receive sites (pid, state, arm)
+        # an offer with unknown arguments is routed to.
+        self._routes = {
+            channel: {entry: {tuple(site) for site in sites}
+                      for entry, sites in entries.items()}
+            for channel, entries in manifest["routes"].items()
+        }
 
         self.counters = _NativeCounters(self)
         self.heap = _NativeHeap(self)
@@ -363,8 +357,8 @@ class NativeMachine:
         lib.esp_set_flush_cb.restype = None
         lib.esp_get_counters.argtypes = [PLL]
         lib.esp_get_counters.restype = None
-        for fn in ("esp_proc_status", "esp_block_kind", "esp_block_chan",
-                   "esp_arm_count_x"):
+        for fn in ("esp_proc_status", "esp_proc_state", "esp_block_kind",
+                   "esp_block_chan", "esp_arm_count_x"):
             getattr(lib, fn).argtypes = [I]
             getattr(lib, fn).restype = I
         lib.esp_arm_info_x.argtypes = [I, I, POINTER(I), POINTER(I), POINTER(I)]
@@ -557,43 +551,44 @@ class NativeMachine:
             entries = self._entries[channel]
             for entry_name, args in bridge.offers():
                 entry_idx, binders = entries[entry_name]
-                args_t = tuple(args or ())
-                enc = self._encode_args(args_t, binders, strict=False)
+                if args is None:
+                    # Arguments unknown until take(): route on the
+                    # entry's shape (Machine._deliveries' rule).
+                    routes = self._routes[channel][entry_name]
+                    for r_pid, r_arm in recvs:
+                        state = self._lib.esp_proc_state(r_pid)
+                        if (r_pid, state, r_arm) in routes:
+                            moves.append(_DeliverMove(
+                                cid, channel, entry_idx, entry_name, (),
+                                r_pid, r_arm))
+                    continue
+                args_t = tuple(args)
+                try:
+                    enc = self._encode_args(args_t, binders)
+                except ESPRuntimeError:
+                    continue  # short or unencodable: undeliverable
                 for r_pid, r_arm in recvs:
-                    if self._reaches(cid, entry_idx, r_pid, r_arm, enc):
+                    if self._lib.esp_try_reach(cid, entry_idx, r_pid, r_arm, enc):
                         moves.append(_DeliverMove(
                             cid, channel, entry_idx, entry_name, args_t,
                             r_pid, r_arm))
         return moves
 
-    def _encode_args(self, args: tuple, binders: list, strict: bool):
-        """Encode host arguments for the entry's binders; None marks
-        "not encodable" (enumerate time) / raises (apply time)."""
+    def _encode_args(self, args: tuple, binders: list):
+        """Encode host arguments for the entry's binders; raises the
+        Python engines' error when one is missing or does not convert."""
         if len(args) < len(binders):
-            if strict:
-                binder = binders[len(args)]
-                span = binder.get("span")
-                raise ESPRuntimeError(
-                    f"external message missing argument for binder "
-                    f"'{binder['name']}'",
-                    _SpanText(span) if span else None,
-                )
-            return None
+            binder = binders[len(args)]
+            span = binder.get("span")
+            raise ESPRuntimeError(
+                f"external message missing argument for binder "
+                f"'{binder['name']}'",
+                _SpanText(span) if span else None,
+            )
         out: list = []
-        try:
-            for binder, raw in zip(binders, args):
-                _encode_val(raw, binder["tree"], out, strict)
-        except _EncodeError:
-            return None
+        for binder, raw in zip(binders, args):
+            _encode_val(raw, binder["tree"], out)
         return (c_longlong * max(len(out), 1))(*out)
-
-    def _reaches(self, cid, entry_idx, r_pid, r_arm, enc) -> bool:
-        if enc is None:
-            # Not encodable: mirror the Python walk, which answers True
-            # for binder patterns without inspecting the data (missing
-            # arguments answered False in _encode_args' caller).
-            return True
-        return bool(self._lib.esp_try_reach(cid, entry_idx, r_pid, r_arm, enc))
 
     def _apply_external(self, move) -> None:
         if isinstance(move, _AcceptMove):
@@ -624,7 +619,7 @@ class NativeMachine:
         taken = bridge.take(move.entry_name)
         args = move.args if move.args else tuple(taken or ())
         _idx, binders = self._entries[move.channel][move.entry_name]
-        enc = self._encode_args(args, binders, strict=True)
+        enc = self._encode_args(args, binders)
         rc = self._lib.esp_apply_deliver(
             move.chan_id, move.entry_idx,
             move.receiver_pid, move.receiver_arm, enc,

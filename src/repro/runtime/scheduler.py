@@ -59,7 +59,7 @@ class Scheduler:
         # The firmware completes internal rendezvous before polling the
         # external channels (the idle loop comes last, §6.1) — so the
         # generated C and this scheduler order work the same way.
-        internal = [m for m in moves if isinstance(m, Rendezvous)]
+        internal = [m for m in moves if type(m) is Rendezvous]
         pool = internal or moves
         self._picks += 1
         if self.policy == "stack":

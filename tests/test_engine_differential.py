@@ -21,7 +21,10 @@ Four legs:
   quantum protocol (``--engine native``),
 * the C backend's semantics model: the generated firmware binary from
   ``test_differential`` must agree with every engine on the same
-  input scripts (four-way agreement).
+  input scripts (four-way agreement),
+* external offers whose arguments the writer cannot preview (``None``)
+  or supplies short or unconvertible: every engine applies the same
+  rule (see ``repro.runtime.external.ExternalWriter.offers``).
 
 Debugging a divergence: re-run the failing program with
 ``--engine ast`` (or ``ESP_ENGINE=ast``) to confirm which side moved;
@@ -48,6 +51,7 @@ from repro import (
 from repro.backends.c import generate_c
 from repro.backends.c.build import find_cc
 from repro.errors import ESPError
+from repro.runtime.external import CallbackWriter
 from repro.runtime.machine import ENGINES
 from repro.verify.environment import default_verification_bridges
 from repro.verify.explorer import Explorer
@@ -321,3 +325,85 @@ def test_engine_env_default(monkeypatch):
     assert Machine(program).engine == "compiled"
     with pytest.raises(ValueError):
         Machine(program, engine="jit")
+
+
+# -- leg 5: external offers with unknown or malformed arguments ----------------
+
+OFFERS_PROGRAM = """
+type addT = record of { a: int, b: int }
+type reqT = union of { add: addT, neg: int }
+channel inC: reqT
+channel outC: int
+external interface feed(out inC) { Add({ add |> { $a, $b } }), Neg({ neg |> $v }) };
+external interface drain(in outC) { D($v) };
+process adder { while (true) { in( inC, { add |> { $x, $y } }); out( outC, x + y); } }
+process negator { while (true) { in( inC, { neg |> $v }); out( outC, 0 - v); } }
+"""
+
+OFFER_ENGINES = list(ENGINES) + (["native"] if find_cc() is not None else [])
+
+
+def _offers_fingerprint(engine: str, writer) -> dict:
+    drain = CollectorReader(["D"])
+    machine = create_machine(compile_source(OFFERS_PROGRAM, "offers.esp"),
+                             externals={"inC": writer, "outC": drain},
+                             engine=engine)
+    try:
+        result = create_scheduler(machine).run(max_transfers=TRANSFER_CAP)
+        outcome = (result.reason, result.transfers, result.instructions)
+    except ESPError as err:
+        outcome = ("error", type(err).__name__, str(err))
+    c = machine.counters
+    return {
+        "received": sorted(args for _, args in drain.received),
+        "outcome": outcome,
+        "counters": (c.instructions, c.context_switches, c.transfers,
+                     c.alt_blocks, c.matches, c.idle_polls),
+        "heap_events": machine.heap.counters.snapshot(),
+    }
+
+
+def _poll_take_writer(script):
+    """A writer with only the paper's is_ready/take protocol, so its
+    offers() reports unknown arguments (None)."""
+    pending = list(script)
+    entries = ["Add", "Neg"]
+
+    def take(entry_name):
+        name, args = pending.pop(0)
+        assert name == entry_name
+        return args
+
+    return CallbackWriter(
+        entries,
+        poll=lambda: entries.index(pending[0][0]) + 1 if pending else 0,
+        take=take,
+    )
+
+
+def test_unknown_offer_arguments_are_routed_by_shape_on_every_engine():
+    script = [("Add", (1, 2)), ("Neg", (5,)), ("Add", (3, 4))]
+    fps = {engine: _offers_fingerprint(engine, _poll_take_writer(script))
+           for engine in OFFER_ENGINES}
+    assert fps["ast"]["received"] == [(-5,), (3,), (7,)]
+    assert fps["ast"]["outcome"][:2] == ("idle", 6)
+    _assert_same(fps)
+
+
+@pytest.mark.parametrize("entry, args", [
+    ("Add", (1,)),          # one argument short
+    ("Neg", ()),            # no arguments for a binder
+    ("Neg", ("x",)),        # not an int
+    ("Add", (1, [2])),      # not an int
+])
+def test_short_or_unconvertible_offer_is_undeliverable_on_every_engine(
+        entry, args):
+    fps = {}
+    for engine in OFFER_ENGINES:
+        feed = QueueWriter(["Add", "Neg"])
+        feed.post(entry, *args)
+        fps[engine] = _offers_fingerprint(engine, feed)
+        assert len(feed.queue) == 1, f"{engine} consumed the offer"
+    assert fps["ast"]["received"] == []
+    assert fps["ast"]["outcome"][:2] == ("idle", 0)
+    _assert_same(fps)

@@ -48,6 +48,16 @@ def test_malformed_number_rejected():
         tokenize("12abc")
 
 
+def test_identifier_character_after_hex_literal_rejected():
+    # Like "12ab": one malformed number, not INT 0x1 followed by IDENT g.
+    for source in ("0x1g", "0xffz", "0x1_"):
+        with pytest.raises(LexError) as info:
+            tokenize(f"x = {source};")
+        assert f"malformed number {source!r}" in str(info.value)
+        span = info.value.span
+        assert (span.start.offset, span.end.offset) == (4, 4 + len(source))
+
+
 def test_identifier_with_underscores_and_digits():
     tokens = tokenize("_foo bar_2 Send")
     assert [t.text for t in tokens[:-1]] == ["_foo", "bar_2", "Send"]
