@@ -2,7 +2,13 @@
 
 The grammar is reconstructed from every fragment in the paper; see
 ``DESIGN.md`` §5 for the (small) set of syntax decisions the paper
-leaves open.  Precedence follows C.
+leaves open.  Binary operators are parsed by precedence climbing over
+one table; precedence and associativity follow C.
+
+Nesting — blocks, operands, binary operators, patterns and type
+expressions — is limited to :data:`MAX_NESTING` levels, so every
+later pass can recurse over the tree at Python's default recursion
+limit.  Crossing the limit is a :class:`~repro.errors.ParseError`.
 
 Entry point: :func:`parse_program` (or :func:`parse` on text).
 """
@@ -13,39 +19,61 @@ from repro.errors import ParseError
 from repro.lang import ast
 from repro.lang.lexer import Lexer
 from repro.lang.source import SourceFile
-from repro.lang.tokens import Token, TokenKind as K
+from repro.lang.tokens import Token, TokenKind
 
-# Binary operator precedence, loosest first (C-like).
-_BINARY_LEVELS: list[dict[K, str]] = [
-    {K.OR: "||"},
-    {K.AND: "&&"},
-    {K.PIPE: "|"},
-    {K.CARET: "^"},
-    {K.AMP: "&"},
-    {K.EQ: "==", K.NE: "!="},
-    {K.LT: "<", K.LE: "<=", K.GT: ">", K.GE: ">="},
-    {K.SHL: "<<", K.SHR: ">>"},
-    {K.PLUS: "+", K.MINUS: "-"},
-    {K.STAR: "*", K.SLASH: "/", K.PERCENT: "%"},
-]
+# The deepest nesting a program may have: each block, operand, binary
+# operator (a chain nests its left operand), brace pattern, type
+# expression and ``else if`` is one level.  A program at the limit is
+# checked, lowered, compiled to C and run on the Python engines at the
+# default recursion limit (tests/test_parser.py).
+MAX_NESTING = 100
+
+
+class K:
+    """The :class:`TokenKind` members as plain class attributes.  Before
+    Python 3.12 reading a member off the Enum class goes through
+    ``EnumType.__getattr__``, which costs more than the token test it
+    feeds; the parser reads one for nearly every test."""
+
+
+for _kind in TokenKind:
+    setattr(K, _kind.name, _kind)
+
+# Binary operators: precedence level (loosest 0) and AST spelling (C-like).
+_BINARY: dict[TokenKind, tuple[int, str]] = {
+    K.OR: (0, "||"),
+    K.AND: (1, "&&"),
+    K.PIPE: (2, "|"),
+    K.CARET: (3, "^"),
+    K.AMP: (4, "&"),
+    K.EQ: (5, "=="), K.NE: (5, "!="),
+    K.LT: (6, "<"), K.LE: (6, "<="), K.GT: (6, ">"), K.GE: (6, ">="),
+    K.SHL: (7, "<<"), K.SHR: (7, ">>"),
+    K.PLUS: (8, "+"), K.MINUS: (8, "-"),
+    K.STAR: (9, "*"), K.SLASH: (9, "/"), K.PERCENT: (9, "%"),
+}
 
 
 class Parser:
-    """A single-pass recursive-descent parser over a token list."""
+    """A single-pass recursive-descent parser over a token list.
+
+    The list ends with EOF and the parser never moves past it, so the
+    token helpers index the list directly.  Lookahead past the current
+    token (``ahead=1``) is only taken from a non-EOF token."""
 
     def __init__(self, tokens: list[Token], source: SourceFile):
         self.tokens = tokens
         self.source = source
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
-    def at(self, kind: K, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind is kind
+    def at(self, kind: TokenKind, ahead: int = 0) -> bool:
+        return self.tokens[self.pos + ahead].kind is kind
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -53,22 +81,35 @@ class Parser:
             self.pos += 1
         return token
 
-    def expect(self, kind: K, context: str = "") -> Token:
-        token = self.peek()
+    def expect(self, kind: TokenKind, context: str = "") -> Token:
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             where = f" in {context}" if context else ""
             raise ParseError(
                 f"expected '{kind.value}'{where}, found {token}", token.span
             )
-        return self.advance()
+        if kind is not K.EOF:
+            self.pos += 1
+        return token
 
-    def accept(self, kind: K) -> Token | None:
-        if self.at(kind):
-            return self.advance()
-        return None
+    def accept(self, kind: TokenKind) -> Token | None:
+        token = self.tokens[self.pos]
+        if token.kind is not kind:
+            return None
+        if kind is not K.EOF:
+            self.pos += 1
+        return token
 
     def _ident(self, context: str) -> str:
         return self.expect(K.IDENT, context).text
+
+    def _nest(self) -> None:
+        """Enter one nesting level at the current token; the caller
+        leaves it with ``self.depth -= 1``.  (A failed parse abandons
+        the parser, so no level needs unwinding on an error.)"""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting too deep", self.tokens[self.pos].span)
 
     # -- program ------------------------------------------------------------
 
@@ -172,6 +213,12 @@ class Parser:
     # -- type expressions ---------------------------------------------------
 
     def parse_type_expr(self) -> ast.TypeExpr:
+        self._nest()
+        type_expr = self._parse_type_expr()
+        self.depth -= 1
+        return type_expr
+
+    def _parse_type_expr(self) -> ast.TypeExpr:
         token = self.peek()
         if token.kind is K.HASH:
             self.advance()
@@ -221,11 +268,13 @@ class Parser:
     # -- blocks and statements ----------------------------------------------
 
     def parse_block(self) -> ast.Block:
+        self._nest()
         start = self.expect(K.LBRACE, "block").span
         stmts: list[ast.Stmt] = []
         while not self.at(K.RBRACE):
             stmts.append(self.parse_stmt())
         end = self.expect(K.RBRACE, "block").span
+        self.depth -= 1
         return ast.Block(start.merge(end), stmts)
 
     def parse_stmt(self) -> ast.Stmt:
@@ -375,7 +424,9 @@ class Parser:
         end = then_block.span
         if self.accept(K.KW_ELSE):
             if self.at(K.KW_IF):
+                self._nest()
                 nested = self._parse_if_stmt()
+                self.depth -= 1
                 else_block = ast.Block(nested.span, [nested])
             else:
                 else_block = self.parse_block()
@@ -408,6 +459,12 @@ class Parser:
         return ast.PEq(expr.span, expr=expr)
 
     def _parse_brace_pattern(self) -> ast.Pattern:
+        self._nest()
+        pattern = self._parse_brace_pattern_body()
+        self.depth -= 1
+        return pattern
+
+    def _parse_brace_pattern_body(self) -> ast.Pattern:
         start = self.expect(K.LBRACE).span
         # Union pattern: `{ tag |> pattern }`.
         if self.at(K.IDENT) and self.at(K.TRIANGLE, 1):
@@ -431,36 +488,49 @@ class Parser:
     def parse_expr(self) -> ast.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.peek().kind in ops:
-            op = ops[self.advance().kind]
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(left.span.merge(right.span), op=op, left=left, right=right)
-        return left
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: an operand, then every operator binding
+        at least as tightly as ``min_level``, left-associative."""
+        tokens = self.tokens
+        left = self._parse_unary()
+        chain = 0
+        while True:
+            entry = _BINARY.get(tokens[self.pos].kind)
+            if entry is None or entry[0] < min_level:
+                self.depth -= chain
+                return left
+            self._nest()
+            chain += 1
+            self.pos += 1
+            right = self._parse_binary(entry[0] + 1)
+            left = ast.Binary(left.span.merge(right.span), op=entry[1], left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind in (K.NOT, K.MINUS):
-            self.advance()
+        self._nest()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind is K.NOT or kind is K.MINUS:
+            self.pos += 1
             operand = self._parse_unary()
-            op = "!" if token.kind is K.NOT else "-"
-            return ast.Unary(token.span.merge(operand.span), op=op, operand=operand)
-        return self._parse_postfix()
+            op = "!" if kind is K.NOT else "-"
+            expr: ast.Expr = ast.Unary(token.span.merge(operand.span), op=op, operand=operand)
+        else:
+            expr = self._parse_postfix()
+        self.depth -= 1
+        return expr
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            if self.at(K.LBRACKET):
-                self.advance()
+            kind = tokens[self.pos].kind
+            if kind is K.LBRACKET:
+                self.pos += 1
                 index = self.parse_expr()
                 end = self.expect(K.RBRACKET, "index").span
                 expr = ast.Index(expr.span.merge(end), base=expr, index=index)
-            elif self.at(K.DOT):
-                self.advance()
+            elif kind is K.DOT:
+                self.pos += 1
                 name_token = self.expect(K.IDENT, "field access")
                 expr = ast.FieldAccess(
                     expr.span.merge(name_token.span), base=expr, field_name=name_token.text
@@ -469,36 +539,36 @@ class Parser:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self.peek()
+        token = self.tokens[self.pos]
         kind = token.kind
+        if kind is K.IDENT:
+            self.pos += 1
+            return ast.Var(token.span, name=token.text)
         if kind is K.INT:
-            self.advance()
+            self.pos += 1
             return ast.IntLit(token.span, value=token.value)
         if kind is K.KW_TRUE:
-            self.advance()
+            self.pos += 1
             return ast.BoolLit(token.span, value=True)
         if kind is K.KW_FALSE:
-            self.advance()
+            self.pos += 1
             return ast.BoolLit(token.span, value=False)
         if kind is K.AT:
-            self.advance()
+            self.pos += 1
             return ast.ProcessId(token.span)
-        if kind is K.IDENT:
-            self.advance()
-            return ast.Var(token.span, name=token.text)
         if kind is K.LPAREN:
-            self.advance()
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(K.RPAREN, "parenthesised expression")
             return expr
         if kind is K.KW_CAST:
-            self.advance()
+            self.pos += 1
             self.expect(K.LPAREN, "cast")
             operand = self.parse_expr()
             end = self.expect(K.RPAREN, "cast").span
             return ast.Cast(token.span.merge(end), operand=operand)
         if kind is K.HASH:
-            self.advance()
+            self.pos += 1
             if self.at(K.LBRACE):
                 return self._parse_brace_expr(mutable=True, start=token.span)
             if self.at(K.LBRACKET):

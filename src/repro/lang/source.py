@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
+# Positions and spans are slotted records with a plain ``__init__``: the
+# lexer builds one span and up to two positions per token, and a frozen
+# dataclass pays an ``object.__setattr__`` call per field for that.  They
+# are never mutated after construction; ``unsafe_hash`` gives them the
+# field-wise hash (and ``dataclasses.fields``, repr and equality) of the
+# frozen records they replace.
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Position:
     """A 1-based line/column position inside a source file."""
 
@@ -17,7 +25,7 @@ class Position:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     """A contiguous region of a source file, used in diagnostics."""
 
@@ -41,21 +49,17 @@ class SourceFile:
     def __init__(self, text: str, filename: str = "<esp>"):
         self.text = text
         self.filename = filename
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        starts = [0]
+        nl = text.find("\n")
+        while nl >= 0:
+            starts.append(nl + 1)
+            nl = text.find("\n", nl + 1)
+        self._line_starts = starts
 
     def position(self, offset: int) -> Position:
         """Translate a byte offset into a line/column position."""
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return Position(lo + 1, offset - self._line_starts[lo] + 1, offset)
+        line = bisect_right(self._line_starts, offset)
+        return Position(line, offset - self._line_starts[line - 1] + 1, offset)
 
     def span(self, start_offset: int, end_offset: int) -> Span:
         """Build a span from a pair of byte offsets."""

@@ -11,6 +11,10 @@ from repro.lang.source import Span
 class TokenKind(enum.Enum):
     """Every lexical category in ESP's C-style concrete syntax."""
 
+    # Members are singletons compared by identity; hashing by identity
+    # keeps the parser's kind-keyed tables off Enum's Python-level hash.
+    __hash__ = object.__hash__
+
     # Literals and identifiers
     IDENT = "identifier"
     INT = "integer literal"
@@ -120,9 +124,11 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
-    """A single lexeme: its kind, raw text, decoded value, and span."""
+    """A single lexeme: its kind, raw text, decoded value, and span.
+
+    Slotted and never mutated, like :class:`~repro.lang.source.Span`."""
 
     kind: TokenKind
     text: str

@@ -134,6 +134,25 @@ def test_compile_error_reply(tmp_path):
             assert reply["error"]
 
 
+def test_lex_and_nesting_errors_reply_as_compile_diagnostics(tmp_path):
+    # A non-ASCII digit and too-deep nesting used to escape the front end
+    # as ValueError / RecursionError and come back as "bad-request".
+    deep = "process p { $x: int = " + "(" * 200 + "1" + ")" * 200 + "; }"
+    cases = {
+        "process p { $x: int = ²; }": "<esp>:1:23: unexpected character '²'",
+        "process p { $x: int = 1²; }": "<esp>:1:23: malformed number '1²'",
+        deep: "<esp>:1:",
+    }
+    with daemon_process(tmp_path) as daemon:
+        with ServeClient(daemon.socket) as client:
+            for source, prefix in cases.items():
+                reply = client.submit(JobSpec(source=source))
+                assert reply["ok"] is False
+                assert reply["kind"] == "compile", reply
+                assert reply["error"].startswith(prefix), reply["error"]
+            assert reply["error"].endswith("nesting too deep")
+
+
 def test_persistent_cache_dir_survives_daemon_restart(tmp_path):
     cache_dir = tmp_path / "cache"
     spec = JobSpec(source=OK_SOURCE)
