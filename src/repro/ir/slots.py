@@ -8,11 +8,12 @@ instead of a name-keyed dict.  This pass walks a process's final
 it can read or write, and assigns each a slot index.
 
 Slots are assigned in sorted-name order so the frame's natural order
-*is* the canonical iteration order every state encoding uses
-(``verify/state.py``, ``verify/collapse.py``, portable snapshots):
-iterating ``canon_order`` and skipping unset slots is byte-identical
-to the historical ``sorted(locals.items())`` over a dict that omits
-unbound names.
+*is* the canonical order every state encoding uses (``verify/state.py``,
+``verify/reduction.py``, portable snapshots): a process is encoded by
+its frame in slot order, ``None`` standing for an unset slot, so a
+position always stands for the same local and the encoding tells
+states apart exactly as ``sorted(locals.items())`` over the bound
+names would.
 """
 
 from __future__ import annotations

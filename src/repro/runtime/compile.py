@@ -1035,14 +1035,16 @@ def _compile_instr(instr: ir.Instr, index: int, proc: ir.IRProcess,
         return branch
     if isinstance(instr, ir.In):
         channel, pattern = instr.channel, instr.pattern
-        port_index = instr.port_index
         mask = proc.wait_mask_for([channel])
+        # A receive's block depends only on the instruction, and blocks
+        # are never changed, so every visit shares this one.
+        block = BlockInfo(kind="in", channel=channel, pattern=pattern,
+                          port_index=instr.port_index)
 
         def block_in(machine, ps):
             ps.pc = index
             ps.status = Status.BLOCKED
-            ps.block = BlockInfo(kind="in", channel=channel, pattern=pattern,
-                                 port_index=port_index)
+            ps.block = block
             ps.wait_mask = mask
             return BLOCKED
 
@@ -1063,7 +1065,8 @@ def _compile_instr(instr: ir.Instr, index: int, proc: ir.IRProcess,
                 ps.pc = index
                 ps.status = Status.BLOCKED
                 ps.block = BlockInfo(kind="out", channel=channel,
-                                     values=values, fresh=fresh, fused=True)
+                                     values=tuple(values), fresh=tuple(fresh),
+                                     fused=True)
                 ps.wait_mask = mask
                 return BLOCKED
 
@@ -1075,7 +1078,7 @@ def _compile_instr(instr: ir.Instr, index: int, proc: ir.IRProcess,
             ps.pc = index
             ps.status = Status.BLOCKED
             ps.block = BlockInfo(kind="out", channel=channel,
-                                 values=[value], fresh=[f], fused=False)
+                                 values=(value,), fresh=(f,), fused=False)
             ps.wait_mask = mask
             return BLOCKED
 
@@ -1105,7 +1108,7 @@ def _compile_instr(instr: ir.Instr, index: int, proc: ir.IRProcess,
                 )
             ps.pc = index
             ps.status = Status.BLOCKED
-            ps.block = BlockInfo(kind="alt", arms=arms)
+            ps.block = BlockInfo(kind="alt", arms=tuple(arms))
             ps.wait_mask = mask
             return BLOCKED
 

@@ -96,7 +96,11 @@ class Heap:
     # -- allocation ------------------------------------------------------------
 
     def _new_oid(self) -> int:
-        if self.max_objects is not None and self.live_count() >= self.max_objects:
+        # Live objects are a subset of ``objects``, so only a table at
+        # the bound needs its live objects counted.
+        bound = self.max_objects
+        if (bound is not None and len(self.objects) >= bound
+                and self.live_count() >= bound):
             raise MemorySafetyError(
                 f"object table exhausted ({self.max_objects} objects live); "
                 "this usually indicates a memory leak"

@@ -28,8 +28,9 @@ Value = int | bool | Ref
 class _UnsetType:
     """Sentinel filling frame slots whose local is not bound yet.
 
-    State encodings skip unset slots, so a frame with holes encodes
-    exactly like the historical dict that simply omitted the name.
+    State encodings write None for an unset slot (no ESP value is
+    None), so a frame with holes is told apart exactly as a dict that
+    simply omitted the name would be.
     """
 
     __slots__ = ()

@@ -40,8 +40,7 @@ from array import array
 from hashlib import blake2b
 
 from repro.runtime.machine import Machine, _pid_of
-from repro.runtime.values import Ref, UNSET
-from repro.verify.state import canonical_state, pack_state
+from repro.verify.state import HeapWalk, canonical_state, pack_state
 
 _U32 = struct.Struct("<I")
 _DIGEST_SIZE = 16
@@ -189,7 +188,7 @@ class MachineCollapseStore:
         indices = [intern_proc(p, sizes) for p in procs]
         intern_obj = self.objects.intern
         indices.append(self.vectors.intern(
-            tuple(intern_obj(e, sizes) for e in heap), sizes))
+            tuple([intern_obj(e, sizes) for e in heap]), sizes))
         indices.append(self.exts.intern(ext, sizes))
         key = array("I", indices).tobytes()
         seen = self._seen
@@ -248,39 +247,13 @@ class MachineCollapseStore:
         heap references (ref entries consume globally-ordered remap
         slots), which is what the third slot tracks."""
         sizes = self._size_seen
-        procs_table = self.procs
-        remap: dict[int, int] = {}
-        heap_entries: list[tuple] = []
-        heap_objects = machine.heap.objects
-        has_ref = False
-
-        def visit(value):
-            nonlocal has_ref
-            if not isinstance(value, Ref):
-                return value
-            has_ref = True
-            oid = value.oid
-            if oid in remap:
-                return ("ref", remap[oid])
-            canonical = len(remap)
-            remap[oid] = canonical
-            obj = heap_objects.get(oid)
-            if obj is None or not obj.live:
-                heap_entries.append((canonical, "dangling"))
-                return ("ref", canonical)
-            placeholder = len(heap_entries)
-            heap_entries.append(None)  # reserve position
-            data = tuple(visit(v) for v in obj.data)
-            heap_entries[placeholder] = (
-                canonical, obj.kind, obj.tag, obj.mutable, obj.refcount, data
-            )
-            return ("ref", canonical)
-
+        intern_proc = self.procs.intern
+        walk = HeapWalk(machine.heap.objects)
+        encode = walk.process
         cache = self._proc_cache
 
         def proc_index(ps):
             """(table index, entry-is-ref-free) of one process."""
-            nonlocal has_ref
             record = ps._record
             if ps._record_version == ps.version:
                 cached = cache.get(ps.pid)
@@ -288,28 +261,13 @@ class MachineCollapseStore:
                     return cached[1], True  # only ref-free entries cached
                 canon = ps._canon
                 if canon is not None and canon[0] is record:
-                    index = procs_table.intern(canon[1], sizes)
+                    index = intern_proc(canon[1], sizes)
                     cache[ps.pid] = (record, index)
                     return index, True
-            has_ref = False
-            block = None
-            if ps.block is not None:
-                b = ps.block
-                values = (
-                    tuple(visit(v) for v in b.values)
-                    if b.values is not None else None
-                )
-                block = (b.kind, b.channel, b.port_index, b.fused, values,
-                         tuple(e.index for e in b.arms))
-            frame = ps.frame
-            locals_ = tuple(
-                (name, visit(frame[slot]))
-                for name, slot in ps.proc.canon_order
-                if frame[slot] is not UNSET
-            )
-            entry = (ps.pc, ps.status.value, locals_, block)
-            index = procs_table.intern(entry, sizes)
-            if has_ref:
+            refs = walk.refs
+            entry = encode(ps, ps.frame)
+            index = intern_proc(entry, sizes)
+            if walk.refs != refs:
                 return index, False
             if ps._record_version == ps.version:
                 ps._canon = (record, entry)
@@ -337,20 +295,11 @@ class MachineCollapseStore:
                 indices.append(index)
         proc_count = len(indices)
 
-        if heap_objects:
-            # Leaked (live but unreachable) objects, in stable order.
-            for oid in sorted(heap_objects):
-                obj = heap_objects[oid]
-                if obj.live and oid not in remap:
-                    visit(Ref(oid))
+        walk.leaks()
         intern_obj = self.objects.intern
         indices.append(self.vectors.intern(
-            tuple(intern_obj(e, sizes) for e in heap_entries), sizes))
-        externals = machine.externals
-        ext = tuple(
-            (name, externals[name].snapshot()) for name in sorted(externals)
-        )
-        indices.append(self.exts.intern(ext, sizes))
+            tuple([intern_obj(e, sizes) for e in walk.entries]), sizes))
+        indices.append(self.exts.intern(machine.external_state(), sizes))
         key = array("I", indices).tobytes()
         seen = self._seen
         if key in seen:

@@ -31,7 +31,7 @@ from repro.verify.collapse import make_visited_store
 from repro.verify.counterexample import replay_path
 from repro.verify.properties import Invariant, Violation
 from repro.verify.reduction import Reducer, parse_reduce
-from repro.verify.state import is_quiescent
+from repro.verify.state import canonical_state, is_quiescent
 
 
 @dataclass
@@ -123,6 +123,7 @@ class Explorer:
 
         _, token = store.add_current(machine)
         result.states = 1
+        max_states = self.max_states
         root = machine.snapshot()
         if token is not None:
             token[0] = root  # bind the intern token to its snapshot
@@ -155,15 +156,19 @@ class Explorer:
                 result.transitions += 1
                 if not self._settle(pendings, next_path, depth + 1):
                     continue
+                if max_states is not None and result.states >= max_states:
+                    # At the bound only a new state is refused, and only
+                    # a refusal leaves the search incomplete.
+                    if store.contains(canonical_state(machine)):
+                        continue
+                    result.complete = False
+                    stack.clear()
+                    break
                 is_new, child_token = store.add_current(machine, token)
                 if not is_new:
                     continue
                 result.states += 1
                 result.max_depth = max(result.max_depth, depth + 1)
-                if self.max_states is not None and result.states >= self.max_states:
-                    result.complete = False
-                    stack.clear()
-                    break
                 child_snapshot = machine.snapshot()
                 if child_token is not None:
                     child_token[0] = child_snapshot
@@ -306,10 +311,6 @@ class Explorer:
         while nodes:
             if self.stop_at_first and pendings:
                 break
-            if (self.max_states is not None
-                    and result.states >= self.max_states):
-                result.complete = False
-                break
             node = nodes[-1]
             if node["pending"] is None:
                 # First visit: select the ample set at this node.
@@ -416,6 +417,12 @@ class Explorer:
                 push(key, changed, newsleep, child_path, inter, forced,
                      False)
                 continue
+            if (self.max_states is not None
+                    and result.states >= self.max_states):
+                # The first new state beyond the bound is refused; only
+                # that leaves the search incomplete.
+                result.complete = False
+                break
             store.add(key)
             push(key, changed, child_sleep, child_path, inter, forced, True)
 

@@ -93,14 +93,16 @@ def _build_graph(machine: Machine, goal: Callable[[Machine], bool],
                 # treat the branch as terminal here.
                 continue
             key = canonical_state(machine)
+            if key not in graph.index and len(graph.succs) >= max_states:
+                # The first new state beyond the bound is refused; only
+                # that leaves the graph incomplete.
+                complete = False
+                stack.clear()
+                break
             succ, new = graph.add(key, goal(machine),
                                   graph.trace[node] + [description])
             graph.succs[node].append(succ)
             if new:
-                if len(graph.succs) >= max_states:
-                    complete = False
-                    stack.clear()
-                    break
                 stack.append((machine.snapshot(), succ))
     return graph, complete
 

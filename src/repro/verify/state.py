@@ -25,9 +25,107 @@ from repro.runtime.interp import Status
 from repro.runtime.machine import Machine
 from repro.runtime.values import Ref, UNSET
 
+# The shared ``("ref", k)`` token of canonical heap slot ``k``: every
+# encoded reference to slot ``k`` is this one tuple, so the visited
+# store keeps (and measures) it once.
+_REF_TOKENS: list[tuple] = []
+
+
+def ref_token(k: int) -> tuple:
+    """The shared encoding of a reference to canonical heap slot ``k``."""
+    tokens = _REF_TOKENS
+    while len(tokens) <= k:
+        tokens.append(("ref", len(tokens)))
+    return tokens[k]
+
+
+class HeapWalk:
+    """The canonical heap renumbering every state keyer shares.
+
+    References are numbered in the order the walk first meets them;
+    each reached object is recorded once, in ``entries``, as ``(slot,
+    kind, tag, mutable, refcount, data)`` (``(slot, "dangling")`` when
+    it is freed or unknown).  ``refs`` counts the references encoded,
+    so a caller can tell whether an entry it built holds any."""
+
+    __slots__ = ("objects", "remap", "entries", "refs")
+
+    def __init__(self, objects: dict):
+        self.objects = objects
+        self.remap: dict[int, int] = {}
+        self.entries: list[tuple] = []
+        self.refs = 0
+
+    def ref(self, value: Ref) -> tuple:
+        """The canonical token of one reference, numbering (and
+        recording) its object on first sight."""
+        self.refs += 1
+        remap = self.remap
+        oid = value.oid
+        canonical = remap.get(oid)
+        if canonical is not None:
+            return _REF_TOKENS[canonical]
+        canonical = len(remap)
+        remap[oid] = canonical
+        token = ref_token(canonical)
+        entries = self.entries
+        obj = self.objects.get(oid)
+        if obj is None or not obj.live:
+            entries.append((canonical, "dangling"))
+            return token
+        placeholder = len(entries)
+        entries.append(None)  # reserve position
+        ref = self.ref
+        data = tuple([ref(v) if v.__class__ is Ref else v for v in obj.data])
+        entries[placeholder] = (
+            canonical, obj.kind, obj.tag, obj.mutable, obj.refcount, data
+        )
+        return token
+
+    def values(self, values) -> tuple:
+        """Frame slots or message values in order: an unset slot (or a
+        dead one the caller blanked to None) is None, a reference its
+        token."""
+        ref = self.ref
+        return tuple([
+            None if v is UNSET else ref(v) if v.__class__ is Ref else v
+            for v in values
+        ])
+
+    def process(self, ps, frame) -> tuple:
+        """The flat entry ``(pc, status, values, block)`` of one process,
+        ``values`` being ``frame`` (its own, or a copy with dead slots
+        blanked) in slot order — see :func:`canonical_state`."""
+        b = ps.block
+        block = None
+        if b is not None:
+            # Block values first: their references take the first slots.
+            block = (b.kind, b.channel, b.port_index, b.fused,
+                     self.values(b.values) if b.values is not None else None,
+                     tuple([e.index for e in b.arms]))
+        return (ps.pc, ps.status.value, self.values(frame), block)
+
+    def leaks(self) -> None:
+        """Record the live objects no root reached, in allocation order:
+        leaks grow the state vector (see the module docstring)."""
+        objects = self.objects
+        if objects:
+            remap = self.remap
+            for oid in sorted(objects):
+                if oid not in remap and objects[oid].live:
+                    self.ref(Ref(oid))
+
 
 def canonical_state(machine) -> tuple:
-    """A hashable, canonical encoding of the machine's global state.
+    """A hashable, canonical encoding of the machine's global state:
+    ``(procs, heap, ext)``.
+
+    Each process is one flat entry ``(pc, status, values, block)``:
+    ``values`` is the frame in slot order — slots are assigned in
+    sorted-name order (:mod:`repro.ir.slots`), so a position always
+    stands for the same local of that process — with None for an unset
+    slot (no ESP value is None) and heap references renumbered by
+    :class:`HeapWalk`.
 
     Objects providing their own ``canonical_state`` method (e.g. a
     :class:`repro.verify.coupled.CoupledSystem`) are delegated to —
@@ -36,33 +134,7 @@ def canonical_state(machine) -> tuple:
     own = getattr(machine, "canonical_state", None)
     if own is not None and not isinstance(machine, Machine):
         return own()
-    remap: dict[int, int] = {}
-    heap_entries: list[tuple] = []
-    heap_objects = machine.heap.objects
-    has_ref = False
-
-    def visit(value):
-        nonlocal has_ref
-        if not isinstance(value, Ref):
-            return value
-        has_ref = True
-        oid = value.oid
-        if oid in remap:
-            return ("ref", remap[oid])
-        canonical = len(remap)
-        remap[oid] = canonical
-        obj = heap_objects.get(oid)
-        if obj is None or not obj.live:
-            heap_entries.append((canonical, "dangling"))
-            return ("ref", canonical)
-        placeholder = len(heap_entries)
-        heap_entries.append(None)  # reserve position
-        data = tuple(visit(v) for v in obj.data)
-        heap_entries[placeholder] = (
-            canonical, obj.kind, obj.tag, obj.mutable, obj.refcount, data
-        )
-        return ("ref", canonical)
-
+    walk = HeapWalk(machine.heap.objects)
     procs = []
     for ps in machine.processes:
         # Ref-free per-process entries depend only on the process itself
@@ -74,23 +146,9 @@ def canonical_state(machine) -> tuple:
                 and canon[0] is ps._record):
             procs.append(canon[1])
             continue
-        has_ref = False
-        block = None
-        if ps.block is not None:
-            b = ps.block
-            values = (
-                tuple(visit(v) for v in b.values) if b.values is not None else None
-            )
-            block = (b.kind, b.channel, b.port_index, b.fused, values,
-                     tuple(e.index for e in b.arms))
-        frame = ps.frame
-        locals_ = tuple(
-            (name, visit(frame[slot]))
-            for name, slot in ps.proc.canon_order
-            if frame[slot] is not UNSET
-        )
-        entry = (ps.pc, ps.status.value, locals_, block)
-        if not has_ref:
+        refs = walk.refs
+        entry = walk.process(ps, ps.frame)
+        if walk.refs == refs:
             if ps._record_version == ps.version:
                 ps._canon = (ps._record, entry)
             else:
@@ -99,18 +157,8 @@ def canonical_state(machine) -> tuple:
                 ps._canon = None
                 ps._canon_pending = (ps.version, entry)
         procs.append(entry)
-
-    # Leaked (live but unreachable) objects, in stable order.
-    for oid in sorted(machine.heap.objects):
-        obj = machine.heap.objects[oid]
-        if obj.live and oid not in remap:
-            visit(Ref(oid))
-
-    ext = tuple(
-        (name, machine.externals[name].snapshot())
-        for name in sorted(machine.externals)
-    )
-    return (tuple(procs), tuple(heap_entries), ext)
+    walk.leaks()
+    return (tuple(procs), tuple(walk.entries), machine.external_state())
 
 
 def state_fingerprint(state: tuple) -> int:

@@ -19,6 +19,7 @@ from repro.verify.collapse import (
     PlainStore,
     SnapshotCodec,
     StateKeyer,
+    deep_size,
     make_visited_store,
 )
 from repro.verify.explorer import Explorer
@@ -107,6 +108,25 @@ def test_memory_bytes_matches_stats():
     # Collapse beats the plain store's full canonical encodings.
     plain = run("plain")
     assert result.memory_bytes < plain.memory_bytes
+
+
+@pytest.mark.parametrize("model", ["vmmc sm1", "retrans w2m2"])
+def test_payload_bytes_equal_a_recount_of_the_interned_components(model):
+    # memory_bytes is the store's actual footprint only while the bytes
+    # charged as components are interned equal deep_size over every
+    # component the tables hold, each distinct object counted once.
+    from tests.test_verify_counts import _retrans_machine, _vmmc_machine
+
+    machine = (_vmmc_machine("sm1") if model == "vmmc sm1"
+               else _retrans_machine(2, 2))
+    store = MachineCollapseStore()
+    result = Explorer(machine, store=store).explore()
+    assert result.ok and result.complete
+    tables = (store.procs, store.objects, store.vectors, store.exts)
+    seen: set[int] = set()
+    recount = sum(deep_size(component, seen)
+                  for table in tables for component in table.index_of)
+    assert sum(table.payload_bytes for table in tables) == recount
 
 
 def test_make_visited_store_rejects_unknown_kind():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import compile_source
 from repro.errors import ESPError
 from repro.runtime.machine import Machine
+from repro.verify.explorer import Explorer
 from repro.verify.state import canonical_state
 from repro.vmmc.retransmission import build_machine, protocol_source
 from tests.strategies import esp_programs
@@ -169,3 +170,65 @@ def test_portable_roundtrip_preserves_canonicalized_state(source, choices):
     sent = reducer.canonical(machine)
     twin.restore_portable(machine.snapshot_portable())
     assert twin_reducer.canonical(twin) == sent
+
+
+# -- blocks held by records never change ------------------------------------
+
+
+def _block_fields(block) -> tuple:
+    """Every field of a BlockInfo, sequences copied by content."""
+    return (block.kind, block.channel, block.pattern, block.port_index,
+            None if block.values is None else tuple(block.values),
+            None if block.fresh is None else tuple(block.fresh),
+            block.fused, tuple((e.arm, e.index) for e in block.arms))
+
+
+class _RecordBlocks:
+    """Wraps Machine.snapshot to record, field by field, every block a
+    snapshot record holds at the moment the snapshot is taken."""
+
+    def __enter__(self):
+        self.recorded = []
+        self._snapshot = Machine.snapshot
+        original = self._snapshot
+
+        def snapshot(machine):
+            state = original(machine)
+            for record in state[0]:
+                block = record[3]
+                if block is not None:
+                    self.recorded.append((block, _block_fields(block)))
+            return state
+
+        Machine.snapshot = snapshot
+        return self
+
+    def __exit__(self, *exc):
+        Machine.snapshot = self._snapshot
+
+    def assert_unchanged(self) -> None:
+        assert self.recorded
+        for block, fields in self.recorded:
+            assert _block_fields(block) == fields
+
+
+def test_blocks_are_unchanged_after_snapshots_hold_them():
+    # Records hold the process's BlockInfo itself and restore puts the
+    # same object back, which is sound only while nothing changes it.
+    from tests.test_verify_counts import _retrans_machine, _vmmc_machine
+
+    for machine in (_vmmc_machine("sm1"), _retrans_machine(2, 2)):
+        with _RecordBlocks() as blocks:
+            result = Explorer(machine).explore()
+        assert result.ok and result.complete
+        blocks.assert_unchanged()
+
+
+@settings(max_examples=20, deadline=None)
+@given(esp_programs())
+def test_blocks_of_generated_programs_are_unchanged(source):
+    with _RecordBlocks() as blocks:
+        Explorer(_machine(source), quiescence_ok=False, stop_at_first=False,
+                 max_states=200).explore()
+    if blocks.recorded:
+        blocks.assert_unchanged()

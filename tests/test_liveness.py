@@ -137,3 +137,23 @@ process p { $n = 0; while (true) { in( c, $x); n = n + x; } }
     result = check_always_eventually(machine, lambda m: True, max_states=5)
     assert not result.complete
     assert result.states <= 6
+
+
+def test_liveness_state_budget_refuses_only_the_state_past_it():
+    # A bound equal to the number of states builds the whole graph; one
+    # less refuses the last state and leaves the graph incomplete.
+    from repro.vmmc.retransmission import build_machine, protocol_source
+
+    def check(max_states):
+        machine = build_machine(protocol_source(window=1, messages=2))
+        return check_always_eventually(machine, lambda m: True,
+                                       max_states=max_states)
+
+    full = check(100_000)
+    n = full.states
+    assert full.complete and n > 1
+    for bound in (n, n + 1):
+        bounded = check(bound)
+        assert (bounded.states, bounded.complete) == (n, True)
+    below = check(n - 1)
+    assert (below.states, below.complete) == (n - 1, False)

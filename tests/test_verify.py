@@ -220,6 +220,35 @@ process p { $n = 0; while (true) { in( c, $x); n = n + x; } }
     assert result.states == 5
 
 
+def _counts(result) -> tuple:
+    return (result.states, result.transitions, result.transitions_pruned,
+            result.max_depth, result.complete)
+
+
+@pytest.mark.parametrize("reduce", [None, "por,sym"])
+def test_max_states_refuses_only_the_state_past_the_bound(reduce):
+    # Retransmission w1m2 has 138 states plain and 47 under por,sym.  A
+    # bound equal to the space lets the search finish exactly as an
+    # unbounded one; one less refuses the last state.
+    from repro.vmmc.retransmission import build_machine, protocol_source
+
+    def explore(max_states=None):
+        machine = build_machine(protocol_source(window=1, messages=2))
+        return Explorer(machine, max_states=max_states,
+                        reduce=reduce).explore()
+
+    full = explore()
+    n = full.states
+    assert n == (138 if reduce is None else 47)
+    assert full.complete
+    for bound in (n, n + 1):
+        assert _counts(explore(bound)) == _counts(full)
+    below = explore(n - 1)
+    assert below.states == n - 1
+    assert not below.complete
+    assert below.transitions <= full.transitions
+
+
 def test_state_space_of_looping_firmware_is_finite():
     # A consuming loop returns to its initial canonical state: the
     # space closes and exploration terminates (the §5.3 property).
