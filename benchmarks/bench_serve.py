@@ -67,13 +67,11 @@ def _distinct_specs() -> list[JobSpec]:
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              reduce="por,sym"))
     if not _SMOKE:
-        # Same sources, different bounds/engine shape: cheap extra keys.
+        # Same sources, different bounds or store: cheap extra keys.
         specs.append(JobSpec(source=chain_source(6), max_depth=64))
         specs.append(JobSpec(source=chain_source(8), max_states=500))
         specs.append(JobSpec(source=protocol_source(2, 3),
                              quiescence_ok=False, store="disk"))
-        specs.append(JobSpec(source=protocol_source(2, 3),
-                             quiescence_ok=False, parallel=2))
     return specs
 
 

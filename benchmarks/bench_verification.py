@@ -25,12 +25,13 @@ from repro.lang.program import frontend
 from repro.runtime.machine import Machine
 from repro.verify import build_isolated_machine, verify_process
 from repro.verify.explorer import Explorer
-from repro.verify.parallel import ParallelExplorer
 from repro.vmmc.firmware_esp import VMMC_ESP_SOURCE
 from repro.vmmc.retransmission import (
     build_machine as build_retransmission_machine,
     protocol_source,
 )
+
+_SMOKE = bool(os.environ.get("ESP_BENCH_SMOKE"))
 
 # Per-process verification plans: environment bounds per §5.3's remark
 # that abstraction keeps the search tractable.
@@ -165,73 +166,6 @@ def test_benchmark_biggest_process_verification(benchmark):
         lambda: verify_process(front, "sm1", max_states=100_000,
                                max_objects=24, **PLANS["sm1"])
     )
-
-
-# -- parallel exploration scaling ----------------------------------------------
-#
-# The sharded BFS engine's contract is determinism first: for every
-# worker count the state/transition counts and verdict must be
-# identical to the serial explorer's full exploration.  The table
-# reports throughput honestly — on a single-CPU container the forked
-# workers time-slice one core, so "speedup" hovers at or below 1.0 and
-# the IPC overhead is visible; the asserts are about result equality,
-# never about the clock.
-
-_SMOKE = bool(os.environ.get("ESP_BENCH_SMOKE"))
-SCALING_JOBS = (1, 2) if _SMOKE else (1, 2, 4, 8)
-
-
-def _scaling_models():
-    window, messages = (1, 2) if _SMOKE else (2, 3)
-    front = frontend(VMMC_ESP_SOURCE)
-    sm1_plan = dict(PLANS["sm1"])
-    if _SMOKE:
-        sm1_plan["env_budget"] = 2
-    return {
-        "retransmission": lambda: build_retransmission_machine(
-            protocol_source(window, messages)
-        ),
-        "vmmc sm1": lambda: build_isolated_machine(
-            front, "sm1", max_objects=24, **sm1_plan
-        )[0],
-    }
-
-
-def test_parallel_scaling_table():
-    table = Table(
-        "Parallel state-space exploration scaling",
-        ["model", "engine", "jobs", "states", "transitions",
-         "time (s)", "states/s", "speedup"],
-    )
-    for model, make in _scaling_models().items():
-        serial = Explorer(make(), stop_at_first=False).explore()
-        serial_rate = serial.states / max(serial.elapsed_seconds, 1e-9)
-        table.add(model, "serial DFS", "-", serial.states,
-                  serial.transitions, round(serial.elapsed_seconds, 3),
-                  int(serial_rate), 1.0)
-        base_time = None
-        for jobs in SCALING_JOBS:
-            explorer = ParallelExplorer(make(), jobs=jobs,
-                                        stop_at_first=False)
-            result = explorer.explore()
-            # The hard guarantee: worker count never changes results.
-            assert (result.states, result.transitions,
-                    len(result.violations)) == \
-                (serial.states, serial.transitions, len(serial.violations)), \
-                (model, jobs)
-            if base_time is None:
-                base_time = result.elapsed_seconds
-            rate = result.states / max(result.elapsed_seconds, 1e-9)
-            table.add(model, f"sharded BFS ({explorer.backend})", jobs,
-                      result.states, result.transitions,
-                      round(result.elapsed_seconds, 3), int(rate),
-                      round(base_time / max(result.elapsed_seconds, 1e-9), 2))
-    cores = os.cpu_count() or 1
-    table.note(f"host has {cores} CPU core(s); speedup is relative to "
-               "jobs=1 and bounded by the cores actually available")
-    table.note("asserted invariant: states/transitions/verdict identical "
-               "for every jobs value (and to the serial explorer)")
-    table.show()
 
 
 # -- serial throughput + regression gate ---------------------------------------

@@ -44,7 +44,6 @@ def compile_source_with_stats(
 def verify_source(
     text: str,
     filename: str = "<esp>",
-    jobs: int | None = None,
     max_states: int | None = 200_000,
     max_depth: int | None = None,
     quiescence_ok: bool = True,
@@ -58,30 +57,19 @@ def verify_source(
     always-ready ``ChoiceWriter`` enumerating each interface entry over
     ``int_domain`` for writers, a ``SinkReader`` for readers), so
     programs with external interfaces verify without a hand-written
-    harness.  ``jobs=None`` runs the serial depth-first
-    :class:`~repro.verify.explorer.Explorer`; any integer ``jobs >= 1``
-    runs the sharded breadth-first
-    :class:`~repro.verify.parallel.ParallelExplorer`, whose statistics
-    and violation output are identical for every ``jobs`` value.
-    Returns an :class:`~repro.verify.explorer.ExploreResult`."""
+    harness.  The program is explored by the depth-first
+    :class:`~repro.verify.explorer.Explorer`; returns its
+    :class:`~repro.verify.explorer.ExploreResult`."""
     from repro.runtime.machine import Machine
     from repro.verify.environment import default_verification_bridges
     from repro.verify.explorer import Explorer
-    from repro.verify.parallel import ParallelExplorer
 
     program = compile_source(text, filename, opt_level)
     machine = Machine(
         program,
         externals=default_verification_bridges(program, int_domain=int_domain),
     )
-    if jobs is None:
-        explorer = Explorer(
-            machine, invariants=invariants, max_states=max_states,
-            max_depth=max_depth, quiescence_ok=quiescence_ok,
-        )
-    else:
-        explorer = ParallelExplorer(
-            machine, invariants=invariants, jobs=jobs, max_states=max_states,
-            max_depth=max_depth, quiescence_ok=quiescence_ok,
-        )
-    return explorer.explore()
+    return Explorer(
+        machine, invariants=invariants, max_states=max_states,
+        max_depth=max_depth, quiescence_ok=quiescence_ok,
+    ).explore()

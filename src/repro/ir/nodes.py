@@ -200,7 +200,7 @@ class IRProcess:
     channel_bits: dict[str, int] = dc_field(default_factory=dict)
     # Preresolved variable slots (repro.ir.slots): unique local name ->
     # dense frame index, plus the name-sorted ``(name, slot)`` iteration
-    # order shared by every canonical/portable state encoding.
+    # order shared by every canonical state encoding.
     slot_of: dict[str, int] = dc_field(default_factory=dict)
     canon_order: tuple = ()
     nslots: int = 0

@@ -9,7 +9,7 @@ it can read or write, and assigns each a slot index.
 
 Slots are assigned in sorted-name order so the frame's natural order
 *is* the canonical order every state encoding uses (``verify/state.py``,
-``verify/reduction.py``, portable snapshots): a process is encoded by
+``verify/reduction.py``): a process is encoded by
 its frame in slot order, ``None`` standing for an unset slot, so a
 position always stands for the same local and the encoding tells
 states apart exactly as ``sorted(locals.items())`` over the bound

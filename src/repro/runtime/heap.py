@@ -80,12 +80,8 @@ class Heap:
         # Copy-on-write bookkeeping: `_touched` holds the oids whose
         # object changed since `_base_records` (the record dict handed
         # out by the last snapshot_records/restore_records) was current.
-        # Retired oids split into a shared frozen base plus the current
-        # branch's additions so snapshots never copy the whole set.
         self._touched: set[int] = set()
         self._base_records: dict[int, tuple] | None = None
-        self._retired_base: frozenset[int] = frozenset()
-        self._retired_new: set[int] = set()
 
     def touch(self, oid: int) -> None:
         """Mark an object dirty: its record must be re-encoded by the
@@ -171,7 +167,6 @@ class Heap:
         # live objects, matching the bounded objectId table of §5.2.
         self.objects.pop(obj.oid, None)
         self._touched.add(obj.oid)
-        self._retired_new.add(obj.oid)
 
     # -- deep operations ------------------------------------------------------------
 
@@ -218,11 +213,14 @@ class Heap:
         return [self.to_python(v) for v in obj.data]
 
     def was_freed(self, oid: int) -> bool:
-        return oid in self._retired_new or oid in self._retired_base
+        """Oids are handed out in increasing order and a freed object
+        leaves ``objects``, so an oid below ``next_oid`` that is not
+        there was freed."""
+        return 0 < oid < self.next_oid and oid not in self.objects
 
     # -- copy-on-write snapshots ------------------------------------------------
 
-    def snapshot_records(self) -> tuple[dict[int, tuple], int, frozenset]:
+    def snapshot_records(self) -> tuple[dict[int, tuple], int]:
         """Immutable per-object records of the whole heap, structurally
         shared with the previous snapshot: only objects touched since
         then are re-encoded.  The returned dict is owned by the heap
@@ -249,13 +247,10 @@ class Heap:
         self._base_records = base
         if touched:
             self._touched = set()
-        if self._retired_new:
-            self._retired_base = self._retired_base | self._retired_new
-            self._retired_new = set()
-        return base, self.next_oid, self._retired_base
+        return base, self.next_oid
 
-    def restore_records(self, records: dict[int, tuple], next_oid: int,
-                        retired) -> None:
+    def restore_records(self, records: dict[int, tuple],
+                        next_oid: int) -> None:
         """Restore the heap to a :meth:`snapshot_records` state.  When
         restoring to the generation we branched from, only this
         branch's touched objects are undone; across generations, an
@@ -293,7 +288,3 @@ class Heap:
             self._base_records = records
             self._touched = set()
         self.next_oid = next_oid
-        if type(retired) is not frozenset:
-            retired = frozenset(retired)
-        self._retired_base = retired
-        self._retired_new = set()

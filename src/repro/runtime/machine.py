@@ -39,7 +39,6 @@ from repro.runtime.external import ExternalReader, ExternalWriter
 from repro.runtime.heap import Heap
 from repro.runtime.interp import (
     BlockInfo,
-    EnabledArm,
     Evaluator,
     InterpCounters,
     ProcessState,
@@ -48,7 +47,7 @@ from repro.runtime.interp import (
     build_value,
     run_until_block,
 )
-from repro.runtime.values import Ref, UNSET, Value
+from repro.runtime.values import Ref, Value
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +767,8 @@ class Machine:
         else:
             record = self._record_proc
             procs = tuple(record(ps, counters) for ps in self.processes)
-        heap_records, next_oid, retired = self.heap.snapshot_records()
-        return (procs, heap_records, next_oid, retired, self.external_state())
+        heap_records, next_oid = self.heap.snapshot_records()
+        return (procs, heap_records, next_oid, self.external_state())
 
     def external_state(self) -> tuple:
         """``(name, snapshot)`` of every bridge with state, in name
@@ -805,7 +804,7 @@ class Machine:
         Restoring the same state that was restored last (the DFS
         explorer's per-move pattern) walks only the processes dirtied
         since, not the whole process list."""
-        procs, heap_records, next_oid, retired, ext = state
+        procs, heap_records, next_oid, ext = state
         counters = self.snap_counters
         dirty = self._dirty_procs
         if state is self._sync_state:
@@ -822,7 +821,7 @@ class Machine:
                 self._restore_proc(ps, rec, counters)
             self._sync_state = state
             dirty.clear()
-        self.heap.restore_records(heap_records, next_oid, retired)
+        self.heap.restore_records(heap_records, next_oid)
         if ext:
             externals = self.externals
             for name, bridge_state in ext:
@@ -855,97 +854,6 @@ class Machine:
         if canon is not None and canon[0] is not rec:
             ps._canon = None
         ps._canon_pending = None
-
-    # -- portable snapshots --------------------------------------------------------
-
-    def snapshot_portable(self):
-        """Like :meth:`snapshot`, but encoded with plain ints, bools,
-        strings, None and tuples only, so the result pickles compactly
-        and identically in any process — parallel verification workers
-        ship these through queues.  A frame is its slots in order, None
-        for an unset one; heap references are tagged ``("R", oid)``,
-        which is unambiguous because runtime values are never tuples;
-        external-bridge snapshots must already be plain data (the
-        documented bridge contract)."""
-        enc = _encode_value
-        procs, heap_objs, next_oid, retired, ext = self.snapshot()
-        pprocs = []
-        for pc, frame, status, b, wait_mask in procs:
-            block = None
-            if b is not None:
-                block = (
-                    b.kind, b.channel, b.port_index,
-                    tuple([enc(v) for v in b.values])
-                    if b.values is not None else None,
-                    b.fresh, b.fused, tuple([e.index for e in b.arms]),
-                )
-            pprocs.append((
-                pc,
-                tuple([None if v is UNSET else enc(v) for v in frame]),
-                status.value, block, wait_mask,
-            ))
-        pheap = tuple(
-            (oid, kind, tag, mutable, refcount, live,
-             tuple(enc(v) for v in data), owner)
-            for oid, (kind, tag, mutable, refcount, live, data, owner)
-            in sorted(heap_objs.items())
-        )
-        return (tuple(pprocs), pheap, next_oid, tuple(sorted(retired)), ext)
-
-    def restore_portable(self, state) -> None:
-        """Restore from a :meth:`snapshot_portable` value."""
-        dec = _decode_value
-        pprocs, pheap, next_oid, retired, pext = state
-        procs = []
-        for ps, (pc, values, status_value, block, wait_mask) in zip(
-                self.processes, pprocs):
-            frame = tuple([UNSET if v is None else dec(v) for v in values])
-            procs.append((pc, frame, Status(status_value),
-                          self._rebuild_block(ps.proc, pc, block), wait_mask))
-        heap_objs = {
-            oid: (kind, tag, mutable, refcount, live,
-                  tuple(dec(v) for v in data), owner)
-            for oid, kind, tag, mutable, refcount, live, data, owner in pheap
-        }
-        self.restore((tuple(procs), heap_objs, next_oid, frozenset(retired),
-                      pext))
-
-    @staticmethod
-    def _rebuild_block(proc: ir.IRProcess, pc: int, block) -> BlockInfo | None:
-        """The BlockInfo of a portable block record, blocked at ``pc``."""
-        if block is None:
-            return None
-        kind, channel, port_index, values, fresh, fused, arm_indexes = block
-        instr = proc.instrs[pc]
-        return BlockInfo(
-            kind=kind,
-            channel=channel,
-            pattern=instr.pattern if kind == "in" else None,
-            port_index=port_index,
-            values=(tuple([_decode_value(v) for v in values])
-                    if values is not None else None),
-            fresh=fresh,
-            fused=fused,
-            arms=(tuple([EnabledArm(instr.arms[i], i) for i in arm_indexes])
-                  if kind == "alt" else ()),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Portable value encoding (for snapshot_portable)
-# ---------------------------------------------------------------------------
-
-
-def _encode_value(v):
-    if isinstance(v, Ref):
-        return ("R", v.oid)
-    return v
-
-
-def _decode_value(v):
-    if type(v) is tuple:
-        return Ref(v[1])
-    return v
 
 
 # ---------------------------------------------------------------------------

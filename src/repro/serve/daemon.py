@@ -27,8 +27,7 @@ Shutdown — whether by the ``shutdown`` op, SIGTERM, or SIGINT — must
 leave nothing behind: queued jobs are failed with ``shutting-down``,
 workers get a stop message then SIGTERM then SIGKILL (the escalation is
 bounded, so a wedged job cannot hang the exit), every worker process is
-``join``-ed (no zombies, and ``ParallelExplorer`` children die with
-their worker's ``SystemExit``), the socket file is unlinked, and the
+``join``-ed (no zombies), the socket file is unlinked, and the
 spool directory — job segment stores and any tempfiles — is removed.
 Only an explicitly configured ``cache_dir`` survives, by design: it is
 the persistent tier of the result cache.
@@ -158,10 +157,12 @@ class ServeDaemon:
 
     def _spawn_worker(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
-        # Not daemonic: a worker must be able to fork ParallelExplorer
-        # children of its own.  Orphan safety comes from the pipe, not
-        # the daemon flag — a worker whose daemon dies sees EOF on its
-        # next recv and exits.
+        # Not daemonic: _stop_workers reaps every worker itself (stop
+        # message, then SIGTERM, then SIGKILL, each followed by a join),
+        # so multiprocessing's exit-time terminate of daemonic children
+        # would have nothing to do.  Orphan safety comes from the pipe,
+        # not the daemon flag — a worker whose daemon dies sees EOF on
+        # its next recv and exits.
         proc = self._ctx.Process(
             target=worker_main, args=(child_conn, self.spool), daemon=False
         )

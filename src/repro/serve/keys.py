@@ -3,7 +3,7 @@
 A verification result is a pure function of the *lowered program* and
 the exploration parameters, so repeat submissions can be answered from
 a cache keyed by ``(canonical-IR hash, property set, reduce modes,
-depth/engine bounds)`` — the same content-addressed discipline
+state/depth bounds)`` — the same content-addressed discipline
 :mod:`repro.backends.c.build` applies to native artifacts.
 
 The canonical-IR encoding deliberately ignores everything that cannot
@@ -23,11 +23,9 @@ change the explored state graph:
 Channel names, record field names, union tags, and interface entry
 names are *kept*: they are part of the program's external interface
 (messages and verdict text mention them).  Two jobs differing in any
-property, reduction mode, bound, or exploration engine *shape*
-(depth-first vs breadth-first) get different keys; the worker count of
-a parallel job is excluded because the parallel engine's results are
-byte-identical for every ``jobs`` value, as is the visited-store kind
-(collapse, plain, and disk stores are all exact).
+property, reduction mode, or bound get different keys; the
+visited-store kind is excluded, because the collapse, plain, and disk
+stores are all exact.
 
 Caveat, documented in docs/SERVE.md: a cached result's violation text
 was rendered from the *first* submission's source, so an alpha-renamed
@@ -202,13 +200,11 @@ def normalize_reduce(reduce: str | None) -> str | None:
 class JobSpec:
     """One verification request, as submitted over the wire.
 
-    ``parallel`` selects the sharded breadth-first engine (any worker
-    count — results are identical for every N, so N is not part of the
-    cache key; the *engine shape* is).  ``process`` switches to the
-    per-process memory-safety harness of §5.3, whose extra bounds
-    (``int_domain``, ``array_sizes``, ``max_objects``, ``env_budget``)
-    then join the key.  ``store`` picks the visited-store backend; all
-    backends are exact, so it is excluded from the key.
+    ``process`` switches to the per-process memory-safety harness of
+    §5.3, whose extra bounds (``int_domain``, ``array_sizes``,
+    ``max_objects``, ``env_budget``) then join the key.  ``store`` picks
+    the visited-store backend; all backends are exact, so it is
+    excluded from the key.
     """
 
     source: str
@@ -217,7 +213,6 @@ class JobSpec:
     max_states: int | None = 200_000
     max_depth: int | None = None
     reduce: str | None = None
-    parallel: int | None = None
     store: str = "collapse"
     check_deadlock: bool = True
     quiescence_ok: bool = True
@@ -235,9 +230,6 @@ class JobSpec:
         if self.process is not None:
             props.append("memory")
         return tuple(sorted(props))
-
-    def engine_shape(self) -> str:
-        return "bfs" if self.parallel is not None else "dfs"
 
     def to_wire(self) -> dict:
         """The JSON-able request body (tuples become lists)."""
@@ -266,7 +258,7 @@ def cache_key(ir_hash: str, spec: JobSpec) -> str:
 
     Everything that can change the verdict, the counterexamples, or
     the reported state/transition counts is folded in; anything proven
-    result-neutral (worker count, store backend) is not.
+    result-neutral (the store backend) is not.
     """
     h = hashlib.sha256()
     parts = (
@@ -276,7 +268,6 @@ def cache_key(ir_hash: str, spec: JobSpec) -> str:
         repr(normalize_reduce(spec.reduce)),
         repr(spec.max_states),
         repr(spec.max_depth),
-        spec.engine_shape(),
         repr(spec.process),
         repr(spec.int_domain if spec.process is not None else None),
         repr(spec.array_sizes if spec.process is not None else None),

@@ -63,9 +63,7 @@ def result_body(result, spec, report=None) -> dict:
             for v in result.violations
         ],
         "stats": result.stats,
-        "engine": "bfs" if spec.parallel is not None else "dfs",
-        "store": ("digest-shards" if spec.parallel is not None
-                  else spec.store),
+        "store": spec.store,
     }
     if report is not None:
         body["process_report"] = {
@@ -107,7 +105,6 @@ def run_job(spec, key: str, attempt: int, spool: str,
     from repro.verify.environment import default_verification_bridges
     from repro.verify.explorer import Explorer
     from repro.verify.memsafety import build_isolated_machine
-    from repro.verify.parallel import ParallelExplorer
 
     assert isinstance(spec, JobSpec)
     reduce = normalize_reduce(spec.reduce)
@@ -133,37 +130,28 @@ def run_job(spec, key: str, attempt: int, spool: str,
     store_recovery = None
     disk_store = None
     job_dir = None
-    if spec.parallel is not None:
-        # The breadth-first engine deduplicates on digest shards; the
-        # disk store (exact, serial) does not apply.
-        explorer = ParallelExplorer(
-            machine, jobs=spec.parallel, max_states=spec.max_states,
-            max_depth=spec.max_depth, check_deadlock=spec.check_deadlock,
-            quiescence_ok=spec.quiescence_ok, reduce=reduce,
-        )
-    else:
-        if spec.store == "disk":
-            job_dir = os.path.join(spool, "jobs", key)
-            if os.path.isdir(job_dir):
-                # A previous attempt died here: run the recovery scan
-                # for the record, then start clean (see module doc).
-                from repro.serve.store import DiskKeySet
+    if spec.store == "disk":
+        job_dir = os.path.join(spool, "jobs", key)
+        if os.path.isdir(job_dir):
+            # A previous attempt died here: run the recovery scan for
+            # the record, then start clean (see module doc).
+            from repro.serve.store import DiskKeySet
 
-                salvage = DiskKeySet(job_dir)
-                store_recovery = salvage.stats()
-                salvage.close()
-                _wipe_dir(job_dir)
-            disk_store = DiskVisitedStore(job_dir, tables=tables)
-            store = disk_store
-        elif spec.store == "plain":
-            store = "plain"
-        else:
-            store = MachineCollapseStore(tables=tables)
-        explorer = Explorer(
-            machine, max_states=spec.max_states, max_depth=spec.max_depth,
-            check_deadlock=spec.check_deadlock,
-            quiescence_ok=spec.quiescence_ok, store=store, reduce=reduce,
-        )
+            salvage = DiskKeySet(job_dir)
+            store_recovery = salvage.stats()
+            salvage.close()
+            _wipe_dir(job_dir)
+        disk_store = DiskVisitedStore(job_dir, tables=tables)
+        store = disk_store
+    elif spec.store == "plain":
+        store = "plain"
+    else:
+        store = MachineCollapseStore(tables=tables)
+    explorer = Explorer(
+        machine, max_states=spec.max_states, max_depth=spec.max_depth,
+        check_deadlock=spec.check_deadlock,
+        quiescence_ok=spec.quiescence_ok, store=store, reduce=reduce,
+    )
     try:
         result = explorer.explore()
     finally:
@@ -190,10 +178,9 @@ def run_job(spec, key: str, attempt: int, spool: str,
 def worker_main(conn, spool: str) -> None:
     """Pull jobs off the daemon pipe until told to stop.
 
-    SIGTERM exits through ``SystemExit`` so ``finally`` blocks (and the
-    multiprocessing atexit hook) reap any ParallelExplorer fork workers
-    a job spawned — the daemon's shutdown path relies on this to leave
-    no orphan processes behind.
+    SIGTERM exits through ``SystemExit``, so the running job's
+    ``finally`` blocks still close and wipe its disk store — the
+    daemon's shutdown path relies on this to leave no files behind.
     """
     from repro.serve.keys import JobSpec
 

@@ -6,7 +6,7 @@ Subcommands::
     espc emit-c  pgm.esp [-o out.c] # generate the C firmware file
     espc emit-spin pgm.esp [-o out.pml] [--instances N]
     espc run     pgm.esp [--max-transfers N] [--policy stack|fifo|random]
-    espc verify  pgm.esp [--process NAME] [--max-states N] [--jobs N]
+    espc verify  pgm.esp [--process NAME] [--max-states N]
     espc stats   pgm.esp            # optimizer statistics
     espc sim     [--messages N] [--faults SEED:rates] [--stats-json]
     espc serve   --socket S [--workers N] [--cache-dir D]
@@ -47,7 +47,6 @@ from repro.runtime.scheduler import create_scheduler
 from repro.verify.environment import default_verification_bridges
 from repro.verify.explorer import Explorer
 from repro.verify.memsafety import verify_process
-from repro.verify.parallel import ParallelExplorer
 
 
 _SOURCES: dict[str, str] = {}
@@ -160,8 +159,7 @@ def cmd_verify(args) -> int:
         reduce = None if args.reduce in (None, "none") else args.reduce
         if args.process:
             report = verify_process(_read(args.file), args.process,
-                                    max_states=args.max_states, jobs=args.jobs,
-                                    reduce=reduce)
+                                    max_states=args.max_states, reduce=reduce)
             print(report.summary())
             ok = report.ok
             result = report.result
@@ -174,14 +172,8 @@ def cmd_verify(args) -> int:
                 program, externals=default_verification_bridges(program),
                 engine=args.engine,
             )
-            if args.jobs is None:
-                explorer = Explorer(machine, max_states=args.max_states,
-                                    reduce=reduce)
-            else:
-                explorer = ParallelExplorer(machine, jobs=args.jobs,
-                                            max_states=args.max_states,
-                                            reduce=reduce)
-            result = explorer.explore()
+            result = Explorer(machine, max_states=args.max_states,
+                              reduce=reduce).explore()
             print(result.summary())
             ok = result.ok
             violations = result.violations
@@ -351,7 +343,6 @@ def cmd_submit(args) -> int:
                     max_depth=args.max_depth,
                     reduce=None if args.reduce in (None, "none")
                     else args.reduce,
-                    parallel=args.jobs,
                     store=args.store,
                 )
                 reply = client.submit(spec)
@@ -470,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", help="verify one process's memory safety")
     p.add_argument("--max-states", type=int, default=200_000)
     p.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="explore with the sharded breadth-first engine across N "
-             "worker processes (results are identical for every N; "
-             "default: serial depth-first engine)",
-    )
-    p.add_argument(
         "--reduce", choices=("por", "sym", "por,sym", "none"), default=None,
         help="state-space reduction: partial-order (ample sets + "
              "singleton chaining), process-symmetry canonicalization, "
@@ -586,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", help="verify one process's memory safety")
     p.add_argument("--max-states", type=int, default=200_000)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="run the job under the sharded breadth-first engine with N "
-             "fork workers (default: serial depth-first)",
-    )
     p.add_argument("--reduce", choices=("por", "sym", "por,sym", "none"),
                    default=None)
     p.add_argument(

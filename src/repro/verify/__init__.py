@@ -21,7 +21,6 @@ from repro.verify.environment import (
     enumerate_values,
 )
 from repro.verify.explorer import Explorer, ExploreResult
-from repro.verify.parallel import ParallelExplorer
 from repro.verify.liveness import (
     LivenessResult,
     check_always_eventually,
@@ -42,19 +41,11 @@ from repro.verify.properties import (
     refcounts_match_references,
 )
 from repro.verify.simulate import SimulationResult, Simulator
-from repro.verify.state import (
-    canonical_state,
-    is_quiescent,
-    pack_state,
-    stable_fingerprint,
-    state_fingerprint,
-    unpack_state,
-)
+from repro.verify.state import canonical_state, is_quiescent, pack_state
 
 __all__ = [
     "Explorer",
     "ExploreResult",
-    "ParallelExplorer",
     "LivenessResult",
     "check_always_eventually",
     "check_no_goal_free_cycles",
@@ -81,10 +72,7 @@ __all__ = [
     "build_isolated_machine",
     "MemSafetyReport",
     "canonical_state",
-    "state_fingerprint",
-    "stable_fingerprint",
     "pack_state",
-    "unpack_state",
     "is_quiescent",
     "format_trace",
     "report",

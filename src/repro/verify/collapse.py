@@ -23,13 +23,7 @@ set-of-canonical-states store (property-tested in
 :class:`StateKeyer` is the probabilistic counterpart used where exact
 storage is not required: a 16-byte keyed blake2b digest of the state,
 assembled *incrementally* from cached per-component digests — the
-parallel engine's shard router/visited keys and the bit-state
-explorer's hash functions both build on it (SPIN's hash-compact mode).
-
-:class:`SnapshotCodec` applies the same content addressing to the
-parallel engine's IPC: portable snapshots travel as tuples of 16-byte
-component digests, and each distinct component payload crosses the
-pipe once per worker instead of once per state.
+bit-state explorer's hash functions build on it.
 """
 
 from __future__ import annotations
@@ -468,7 +462,7 @@ def make_visited_store(machine, kind="collapse"):
 
 
 # ---------------------------------------------------------------------------
-# Incremental state digests (hash-compact keys)
+# Incremental state digests (bit-state hashing)
 # ---------------------------------------------------------------------------
 
 
@@ -478,11 +472,10 @@ class StateKeyer:
     unchanged re-hashes only 16-byte digests, not the components.
 
     Digests depend only on content (keyed blake2b over
-    :func:`pack_state` bytes), so every process computes the same
-    digest for the same state — the parallel engine routes and
-    deduplicates on them.  Two distinct states colliding requires a
-    128-bit blake2b collision; this is SPIN's hash-compact trade,
-    documented in VERIFIER.md."""
+    :func:`pack_state` bytes), so every run computes the same digest
+    for the same state — the bit-state explorer derives its seeded hash
+    functions from it.  Two distinct states colliding requires a
+    128-bit blake2b collision."""
 
     __slots__ = ("_digests", "machine_shape", "_key")
 
@@ -516,84 +509,3 @@ class StateKeyer:
             # (no per-state caching, so memory stays flat).
             h.update(pack_state(state))
         return h.digest()
-
-
-# ---------------------------------------------------------------------------
-# Content-addressed snapshot transport (parallel IPC)
-# ---------------------------------------------------------------------------
-
-
-class SnapshotCodec:
-    """Splits portable snapshots into content-addressed components.
-
-    ``encode`` maps a :meth:`Machine.snapshot_portable` value to a
-    descriptor of 16-byte component digests, remembering first-seen
-    payloads in a pending buffer; ``drain``/``merge`` move those
-    payload deltas between processes, and ``decode`` rebuilds the
-    portable snapshot from locally known payloads.  Workers therefore
-    ship each distinct per-process/per-object component across the
-    pipe once, instead of re-serialising it inside every successor
-    snapshot."""
-
-    __slots__ = ("_payloads", "_digest_of", "_pending")
-
-    def __init__(self):
-        self._payloads: dict[bytes, object] = {}
-        self._digest_of: dict = {}
-        self._pending: dict[bytes, object] = {}
-
-    def _put(self, comp) -> bytes:
-        digest = self._digest_of.get(comp)
-        if digest is None:
-            digest = blake2b(pack_state(comp),
-                             digest_size=_DIGEST_SIZE).digest()
-            self._digest_of[comp] = digest
-            if digest not in self._payloads:
-                self._payloads[digest] = comp
-                self._pending[digest] = comp
-        return digest
-
-    def encode(self, portable) -> tuple:
-        pprocs, pheap, next_oid, retired, pext = portable
-        put = self._put
-        return (
-            tuple(put(p) for p in pprocs),
-            tuple(put(e) for e in pheap),
-            next_oid,
-            put(retired),
-            put(pext),
-        )
-
-    def decode(self, descriptor) -> tuple:
-        proc_digests, heap_digests, next_oid, retired_digest, ext_digest = \
-            descriptor
-        payloads = self._payloads
-        try:
-            return (
-                tuple(payloads[d] for d in proc_digests),
-                tuple(payloads[d] for d in heap_digests),
-                next_oid,
-                payloads[retired_digest],
-                payloads[ext_digest],
-            )
-        except KeyError as err:
-            raise RuntimeError(
-                "snapshot component missing from the delta stream "
-                f"(digest {err.args[0]!r})"
-            ) from None
-
-    def drain(self) -> dict[bytes, object]:
-        """First-seen payloads since the last drain (to broadcast)."""
-        pending = self._pending
-        self._pending = {}
-        return pending
-
-    def merge(self, payloads: dict[bytes, object]) -> None:
-        """Adopt payloads broadcast by other processes (not re-pended)."""
-        known = self._payloads
-        for digest, comp in payloads.items():
-            if digest not in known:
-                known[digest] = comp
-
-    def stats(self) -> dict:
-        return {"payloads": len(self._payloads)}

@@ -6,9 +6,9 @@ bug" (§5.1).  Our violations carry the move trace from the initial
 state; this module renders it for humans, groups multiple violations
 for reports, and *replays* traces through a fresh :class:`Machine`.
 
-Replay is what makes parallel verification cheap to merge: workers
-ship a violation as a compact move-index path, and the coordinator
-reconstructs the full human-readable trace by re-executing the path —
+Replay keeps the explorers' hot path free of string formatting: a
+violation is recorded as a compact move-index path, and the full
+human-readable trace is rebuilt afterwards by re-executing the path —
 sound because processes are deterministic between blocking points, so
 the path pins down the entire execution.
 """
@@ -58,8 +58,8 @@ def replay_path(machine, path: Sequence[int]) -> tuple[list[str], ESPError | Non
     Returns the human-readable move descriptions and the interpreter
     exception that ended the replay (None when the whole path applied
     cleanly).  Move enumeration is deterministic, so the same path
-    always reproduces the same execution — the parallel engine relies
-    on this to rebuild counterexamples from worker-reported paths."""
+    always reproduces the same execution — the explorers rely on this
+    to rebuild counterexamples from the paths they record."""
     trace: list[str] = []
     try:
         machine.run_ready()
@@ -82,21 +82,6 @@ def replay_path(machine, path: Sequence[int]) -> tuple[list[str], ESPError | Non
     return trace, None
 
 
-def replay_collapsed(
-    machine, codec, descriptor, path: Sequence[int]
-) -> tuple[list[str], ESPError | None]:
-    """Replay a move-index path from a *collapsed* initial state: a
-    :class:`~repro.verify.collapse.SnapshotCodec` descriptor whose
-    component payloads live in ``codec``.
-
-    This is the replay entry point for stores that keep states in
-    collapsed form (the parallel engine's content-addressed transport):
-    the descriptor is expanded back into a portable snapshot, restored,
-    and then replayed exactly like :func:`replay_path`."""
-    machine.restore_portable(codec.decode(descriptor))
-    return replay_path(machine, path)
-
-
 def replay_violation(
     machine,
     violation: Violation,
@@ -111,7 +96,7 @@ def replay_violation(
     :class:`ReplayError` when a step cannot be matched or the trace
     replays without reproducing any violation.  A reproduced violation
     equal to the original is the regression guarantee behind the
-    parallel engine's replay-based reconstruction."""
+    explorers' replay-based reconstruction."""
     from repro.verify.explorer import _violation_from
 
     try:

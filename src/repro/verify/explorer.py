@@ -13,8 +13,7 @@ The explorer is driven through :meth:`Machine.snapshot`/``restore``
 targets, Figure 4).  The hot path stays free of string formatting:
 exploration records violations as compact move-index *paths*, and the
 human-readable traces are rebuilt afterwards by deterministic replay
-(:func:`repro.verify.counterexample.replay_path`) — the same mechanism
-the parallel engine uses to merge worker-found violations.  Visited
+(:func:`repro.verify.counterexample.replay_path`).  Visited
 states live in a SPIN-style collapse-compressed store
 (:mod:`repro.verify.collapse`), which is exact: state and transition
 counts are identical to a plain set of canonical states.

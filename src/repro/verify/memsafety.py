@@ -216,29 +216,19 @@ def verify_process(
     max_states: int | None = 200_000,
     opt_level: OptLevel = OptLevel.FULL,
     env_budget: int | None = None,
-    jobs: int | None = None,
     reduce: str | None = None,
 ) -> MemSafetyReport:
     """Exhaustively verify the memory safety of one process (§5.3);
     pass ``env_budget`` to bound the environment for processes whose
-    counters grow without bound.  With ``jobs`` set, the sharded
-    breadth-first :class:`~repro.verify.parallel.ParallelExplorer`
-    explores the isolated machine instead of the serial explorer.
-    ``reduce`` selects the reduction modes (``"por"``, ``"sym"``,
-    ``"por,sym"``) of :mod:`repro.verify.reduction`."""
+    counters grow without bound.  ``reduce`` selects the reduction
+    modes (``"por"``, ``"sym"``, ``"por,sym"``) of
+    :mod:`repro.verify.reduction`."""
     front = frontend(source) if isinstance(source, str) else source
     machine, report = build_isolated_machine(
         front, process_name, int_domain, array_sizes,
         max_objects=max_objects, opt_level=opt_level, env_budget=env_budget,
     )
-    if jobs is not None:
-        from repro.verify.parallel import ParallelExplorer
-
-        report.result = ParallelExplorer(
-            machine, jobs=jobs, max_states=max_states, reduce=reduce
-        ).explore()
-    else:
-        report.result = Explorer(
-            machine, max_states=max_states, reduce=reduce
-        ).explore()
+    report.result = Explorer(
+        machine, max_states=max_states, reduce=reduce
+    ).explore()
     return report

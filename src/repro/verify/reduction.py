@@ -304,8 +304,8 @@ def canonical_reduced(machine: Machine, analysis: StaticAnalysis,
 
 
 class Reducer:
-    """Per-run reduction driver shared by the serial, parallel, and
-    bit-state explorers.
+    """Per-run reduction driver shared by the exhaustive and bit-state
+    explorers.
 
     ``ample_ok`` reports whether *strict* ample sets are sound for
     this machine (C2: no invariants, no bounded heap table); chaining

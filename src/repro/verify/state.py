@@ -17,7 +17,6 @@ the bounded object table — which is how the verifier catches leaks.
 
 from __future__ import annotations
 
-import hashlib
 import marshal
 import pickle
 
@@ -161,11 +160,6 @@ def canonical_state(machine) -> tuple:
     return (tuple(procs), tuple(walk.entries), machine.external_state())
 
 
-def state_fingerprint(state: tuple) -> int:
-    """A 64-bit fingerprint of a canonical state (bit-state hashing)."""
-    return hash(state) & 0xFFFFFFFFFFFFFFFF
-
-
 # Serialization format tags for pack_state.
 _MARSHAL = b"M"
 _PICKLE = b"P"
@@ -175,42 +169,23 @@ def pack_state(state: tuple) -> bytes:
     """Serialize a canonical state to compact, *stable* bytes.
 
     The same canonical state packs to the same bytes in every process
-    and every run, so the bytes can serve directly as visited-set keys
-    and as input to :func:`stable_fingerprint` — which ``hash()``
-    cannot, since Python randomizes string hashing per process.
+    and every run, so the bytes can feed digests that must not change
+    between runs — :class:`~repro.verify.collapse.StateKeyer`'s and the
+    serve cache keys — which ``hash()`` cannot, since Python randomizes
+    string hashing per process.
     ``marshal`` covers everything :func:`canonical_state` emits; an
     external bridge snapshot holding exotic objects falls back to
     pickle (still deterministic for plain data).
 
     Marshal format 2 deliberately: formats >= 3 back-reference repeated
     *objects*, so two equal states would pack differently depending on
-    whether their strings happen to share identity (interned in this
-    process vs. reconstructed from a pipe) — exactly the instability
+    whether their strings happen to share identity (interned vs. built
+    at run time) — exactly the instability
     this function exists to remove."""
     try:
         return _MARSHAL + marshal.dumps(state, 2)
     except ValueError:
         return _PICKLE + pickle.dumps(state, protocol=4)
-
-
-def unpack_state(data: bytes) -> tuple:
-    """Inverse of :func:`pack_state`."""
-    if data[:1] == _MARSHAL:
-        return marshal.loads(data[1:])
-    return pickle.loads(data[1:])
-
-
-def stable_fingerprint(state: tuple | bytes, seed: int = 0) -> int:
-    """A 64-bit fingerprint that is identical across processes and runs.
-
-    Used to partition states over parallel verification shards (every
-    worker must route a state to the same owner) and by the bit-state
-    explorer's seeded hash functions.  Accepts either a canonical state
-    tuple or its :func:`pack_state` bytes."""
-    data = state if isinstance(state, bytes) else pack_state(state)
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
 
 
 def is_quiescent(machine) -> bool:

@@ -3,10 +3,9 @@
 ``daemon_process`` runs the real CLI entry point (``espc serve``) in a
 subprocess — the same code path users get, including signal handlers
 and the shutdown cleanup the leak-check test asserts on.  The daemon's
-socket path doubles as a process marker: forked workers (and any
-``ParallelExplorer`` children they spawn) inherit the daemon's command
-line, so scanning ``/proc`` for the unique socket path finds every
-process the daemon is responsible for.
+socket path doubles as a process marker: forked workers inherit the
+daemon's command line, so scanning ``/proc`` for the unique socket path
+finds every process the daemon is responsible for.
 
 ``serial_reference`` computes the ground truth a daemon answer must
 match: the same job run to completion in *this* process with fresh

@@ -7,9 +7,9 @@ consumer runs counted loops.  The draw space still covers the
 language features the verifier has to canonicalise — int, record, and
 union channel payloads, sequential ``in`` with record destructuring,
 ``alt`` over union tags, guarded arms, and assertions that may or may
-not hold — so differential tests (serial vs. parallel exploration,
-interpreter vs. verifier) see violation-free runs, assertion failures,
-and deadlocks in one stream of examples.
+not hold — so differential tests (collapse vs. plain stores, reduced
+vs. plain exploration, engine vs. engine) see violation-free runs,
+assertion failures, and deadlocks in one stream of examples.
 
 Every generated program type-checks and compiles; whether it verifies
 cleanly is up to the dice (an ``expect`` overshoot deadlocks the

@@ -1,4 +1,4 @@
-"""The collapse-compressed visited store and its transport helpers.
+"""The collapse-compressed visited store and its state digests.
 
 The store is a lossless compression of the visited set (SPIN's
 COLLAPSE, not bit-state hashing): the differential property here pins
@@ -17,7 +17,6 @@ from repro.runtime.machine import Machine
 from repro.verify.collapse import (
     MachineCollapseStore,
     PlainStore,
-    SnapshotCodec,
     StateKeyer,
     deep_size,
     make_visited_store,
@@ -142,7 +141,7 @@ def test_plain_store_reports_footprint():
     assert store.stats()["states"] == 1
 
 
-# -- digests and transport ----------------------------------------------------
+# -- digests -----------------------------------------------------------------
 
 
 def test_state_keyer_is_instance_independent():
@@ -154,29 +153,3 @@ def test_state_keyer_is_instance_independent():
     machine.run_ready()
     assert StateKeyer().digest(canonical_state(machine)) != \
         StateKeyer().digest(state)
-
-
-def test_snapshot_codec_roundtrip_across_instances():
-    # Descriptors travel between processes; payloads travel once as a
-    # delta.  A fresh codec that merged the delta must reconstruct a
-    # snapshot that restores to the identical canonical state.
-    machine = _settled_machine()
-    sender = SnapshotCodec()
-    desc = sender.encode(machine.snapshot_portable())
-    state = canonical_state(machine)
-    delta = sender.drain()
-
-    receiver = SnapshotCodec()
-    receiver.merge(delta)
-    machine.apply(machine.enabled_moves()[0])  # wander off first
-    machine.run_ready()
-    machine.restore_portable(receiver.decode(desc))
-    assert canonical_state(machine) == state
-
-
-def test_snapshot_codec_missing_payload_is_detected():
-    machine = _settled_machine()
-    sender = SnapshotCodec()
-    desc = sender.encode(machine.snapshot_portable())
-    with pytest.raises(RuntimeError):
-        SnapshotCodec().decode(desc)  # never merged the delta

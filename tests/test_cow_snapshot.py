@@ -137,41 +137,6 @@ def test_restore_foreign_snapshot_after_sync_switch():
         assert canonical_state(machine) == state
 
 
-@settings(max_examples=15, deadline=None)
-@given(esp_programs(), st.lists(st.integers(min_value=0, max_value=7),
-                                min_size=1, max_size=10))
-def test_portable_roundtrip_preserves_canonicalized_state(source, choices):
-    # The parallel engine ships states between workers as portable
-    # snapshots and keys them by the symmetry-canonical form, so the
-    # canonical form must survive the round-trip: restoring a portable
-    # snapshot on a *different* machine instance must canonicalize to
-    # the same key the sender computed (else shard routing and dedup
-    # would silently split symmetric states).
-    from repro.verify.reduction import Reducer, parse_reduce
-
-    machine = _machine(source)
-    twin = _machine(source)
-    reducer = Reducer(machine, parse_reduce("por,sym"), has_invariants=False)
-    twin_reducer = Reducer(twin, parse_reduce("por,sym"), has_invariants=False)
-    machine.run_ready()
-    for choice in choices:
-        moves = machine.enabled_moves()
-        if not moves:
-            break
-        sent = reducer.canonical(machine)
-        twin.restore_portable(machine.snapshot_portable())
-        assert twin_reducer.canonical(twin) == sent
-        assert canonical_state(twin) == canonical_state(machine)
-        try:
-            machine.apply(moves[choice % len(moves)])
-            machine.run_ready()
-        except ESPError:
-            break
-    sent = reducer.canonical(machine)
-    twin.restore_portable(machine.snapshot_portable())
-    assert twin_reducer.canonical(twin) == sent
-
-
 # -- blocks held by records never change ------------------------------------
 
 

@@ -67,6 +67,26 @@ def test_unknown_object_raises():
         heap.get(Ref(999))
 
 
+def test_restoring_an_older_snapshot_rewinds_freed_and_unknown_oids():
+    # Whether an absent oid was freed is derived from ``next_oid`` and
+    # the object table, so a restore must rewind that answer too.
+    heap = Heap()
+    freed_before = heap.alloc("array", [1], mutable=False)
+    freed_after = heap.alloc("array", [2], mutable=False)
+    heap.unlink(freed_before)
+    snapshot = heap.snapshot_records()
+    heap.unlink(freed_after)
+    allocated_after = heap.alloc("array", [3], mutable=False)
+    heap.restore_records(*snapshot)
+    with pytest.raises(MemorySafetyError,
+                       match="^access to unknown object 3$"):
+        heap.get(allocated_after)
+    with pytest.raises(MemorySafetyError,
+                       match="^use after free of object 1$"):
+        heap.get(freed_before)
+    assert heap.get(freed_after).data == [2]
+
+
 def test_bounded_table_exhaustion():
     heap = Heap(max_objects=2)
     heap.alloc("array", [], mutable=False)

@@ -43,7 +43,6 @@ def test_submit_matches_serial_verify(tmp_path):
         JobSpec(source=OK_SOURCE),
         JobSpec(source=VIOLATING_SOURCE),
         JobSpec(source=OK_SOURCE, store="disk"),
-        JobSpec(source=VIOLATING_SOURCE, parallel=2),
         JobSpec(source=protocol_source(2, 2), quiescence_ok=False),
     ]
     with daemon_process(tmp_path) as daemon:
@@ -91,7 +90,6 @@ def test_differing_bounds_and_modes_miss_cache(tmp_path):
         JobSpec(source=OK_SOURCE, max_depth=9),
         JobSpec(source=OK_SOURCE, reduce="por,sym"),
         JobSpec(source=OK_SOURCE, check_deadlock=False),
-        JobSpec(source=OK_SOURCE, parallel=2),
     ]
     with daemon_process(tmp_path) as daemon:
         with ServeClient(daemon.socket) as client:
@@ -132,6 +130,19 @@ def test_compile_error_reply(tmp_path):
             assert reply["ok"] is False
             assert reply["kind"] == "compile"
             assert reply["error"]
+
+
+def test_unknown_job_field_is_a_bad_request(tmp_path):
+    # A field JobSpec does not have (``parallel``, which older clients
+    # sent) is refused by name, and the daemon keeps serving.
+    stale = dict(JobSpec(source=OK_SOURCE).to_wire(), parallel=2)
+    with daemon_process(tmp_path) as daemon:
+        with ServeClient(daemon.socket) as client:
+            reply = client.submit(stale)
+            assert reply["ok"] is False
+            assert reply["kind"] == "bad-request", reply
+            assert "'parallel'" in reply["error"], reply["error"]
+            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
 def test_lex_and_nesting_errors_reply_as_compile_diagnostics(tmp_path):
@@ -189,10 +200,10 @@ def test_stats_counters_shape(tmp_path):
 
 @pytest.mark.slow
 def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
-    """The leak check: kill the daemon while jobs (including parallel
-    ones that fork their own children) are queued and running; nothing
-    may survive — no processes carrying the daemon's command line, no
-    socket file, no spool directory, no stray esp-serve tempdirs."""
+    """The leak check: kill the daemon while jobs are queued and
+    running; nothing may survive — no processes carrying the daemon's
+    command line, no socket file, no spool directory, no stray
+    esp-serve tempdirs."""
     import threading
 
     tempdir_before = {
@@ -204,7 +215,6 @@ def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
         source = protocol_source(2 + i % 2, 3)
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              store="disk" if i % 3 == 0 else "collapse",
-                             parallel=2 if i % 3 == 1 else None,
                              max_states=50_000 + i))
     with daemon_process(tmp_path, workers=2) as daemon:
         with ServeClient(daemon.socket) as client:
@@ -234,8 +244,8 @@ def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
         thread.join(timeout=30)
         assert not thread.is_alive()
 
-    # No process still carries the daemon's command line (workers and
-    # their ParallelExplorer fork children inherit it).
+    # No process still carries the daemon's command line (workers
+    # inherit it).
     for _ in range(100):
         if not processes_matching(marker):
             break

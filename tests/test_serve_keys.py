@@ -124,7 +124,6 @@ _KEY_CHANGING = [
     {"reduce": "por,sym"},
     {"check_deadlock": False},
     {"quiescence_ok": False},
-    {"parallel": 2},            # engine *shape* (dfs -> bfs)
     {"process": "p"},           # property set gains "memory"
 ]
 
@@ -153,15 +152,6 @@ def test_result_neutral_fields_share_the_key():
     for mutation in _KEY_NEUTRAL:
         spec = dataclasses.replace(JobSpec(source=_SOURCE), **mutation)
         assert cache_key(ir_hash, spec) == base_key, mutation
-
-
-def test_parallel_worker_count_is_not_part_of_the_key():
-    ir_hash = _hash(_SOURCE)
-    keys = {
-        cache_key(ir_hash, JobSpec(source=_SOURCE, parallel=n))
-        for n in (1, 2, 4, 8)
-    }
-    assert len(keys) == 1
 
 
 def test_memsafety_bounds_join_the_key_only_with_a_process():

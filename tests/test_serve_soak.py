@@ -51,26 +51,22 @@ def _corpus() -> list[JobSpec]:
         specs.append(JobSpec(source=source, filename=name))
     specs.append(JobSpec(source=(ESP_DIR / "vmmc.esp").read_text(),
                          filename="vmmc.esp", max_states=2_000))
-    # Leg 2: the retransmission family, spread over engines, stores,
-    # and reduction modes (quiescence_ok=False turns protocol
-    # termination into a deadlock verdict: violation traces included).
+    # Leg 2: the retransmission family, spread over stores and
+    # reduction modes (quiescence_ok=False turns protocol termination
+    # into a deadlock verdict: violation traces included).
     family = [(1, 2), (2, 3), (3, 4)]
-    for i, (window, messages) in enumerate(family):
+    for window, messages in family:
         source = protocol_source(window, messages)
         specs.append(JobSpec(source=source, quiescence_ok=False))
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              reduce="por,sym"))
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              store="disk"))
-        if i < 2:
-            specs.append(JobSpec(source=source, quiescence_ok=False,
-                                 parallel=2))
     # Leg 3: chains with ok and violating verdicts at several sizes.
     for n in (2, 4, 6):
         specs.append(JobSpec(source=chain_source(n)))
         specs.append(JobSpec(source=chain_source(n, assert_bound=1)))
     specs.append(JobSpec(source=chain_source(5), store="disk"))
-    specs.append(JobSpec(source=chain_source(5), parallel=3))
     return specs
 
 

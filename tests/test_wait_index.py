@@ -236,7 +236,3 @@ def test_restoring_an_older_state_reindexes():
         for state in states[::-3] + states[::2]:
             machine.restore(state)
             _check(machine)
-            portable = machine.snapshot_portable()
-            machine.restore(states[0])
-            machine.restore_portable(portable)
-            _check(machine)
