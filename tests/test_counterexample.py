@@ -119,6 +119,18 @@ def test_replay_reproduces_retransmission_bug():
         == (original.kind, original.message, original.trace, original.depth)
 
 
+def test_retransmission_counterexample_steps_are_move_descriptions():
+    # Every step of the trace is a human-readable move description, and
+    # the violation's depth is the trace's length.
+    source = buggy_source("duplicate_delivery", window=1, messages=2)
+    result = Explorer(build_machine(source)).explore()
+    assert result.violations
+    v = result.violations[0]
+    assert v.trace
+    assert all(isinstance(step, str) and "->" in step for step in v.trace)
+    assert v.depth == len(v.trace)
+
+
 def test_replay_reproduces_deadlock():
     found = Explorer(Machine(compile_source(DEADLOCK)),
                      quiescence_ok=False).explore()
