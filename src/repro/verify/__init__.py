@@ -2,7 +2,7 @@
 semantics (exhaustive, bit-state, and simulation modes; deadlock,
 assertion, invariant, and memory-safety checking)."""
 
-from repro.verify.bitstate import BitstateExplorer, BitstateResult
+from repro.verify.bitstate import BitstateExplorer, BitstateStore
 from repro.verify.counterexample import (
     ReplayError,
     format_trace,
@@ -53,7 +53,7 @@ __all__ = [
     "CoupledSystem",
     "Link",
     "BitstateExplorer",
-    "BitstateResult",
+    "BitstateStore",
     "Simulator",
     "SimulationResult",
     "Violation",

@@ -23,7 +23,7 @@ set-of-canonical-states store (property-tested in
 :class:`StateKeyer` is the probabilistic counterpart used where exact
 storage is not required: a 16-byte keyed blake2b digest of the state,
 assembled *incrementally* from cached per-component digests — the
-bit-state explorer's hash functions build on it.
+bit-state store's hash functions build on it.
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ class StateKeyer:
 
     Digests depend only on content (keyed blake2b over
     :func:`pack_state` bytes), so every run computes the same digest
-    for the same state — the bit-state explorer derives its seeded hash
+    for the same state — the bit-state store derives its seeded hash
     functions from it.  Two distinct states colliding requires a
     128-bit blake2b collision."""
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import ESPError
 from repro.verify.properties import Invariant, Violation
-from repro.verify.state import is_quiescent
 
 
 class ReplayError(RuntimeError):
@@ -50,36 +48,33 @@ def group_by_kind(violations: list[Violation]) -> dict[str, list[Violation]]:
     return groups
 
 
-def replay_path(machine, path: Sequence[int]) -> tuple[list[str], ESPError | None]:
+def replay_path(machine, path: Sequence[int]) -> tuple[list[str], Violation | None]:
     """Replay a move-index path from a machine's *initial* (un-run)
     state: settle, then at each step apply the path's move by its
     position in :meth:`Machine.enabled_moves` and settle again.
 
-    Returns the human-readable move descriptions and the interpreter
-    exception that ended the replay (None when the whole path applied
-    cleanly).  Move enumeration is deterministic, so the same path
-    always reproduces the same execution — the explorers rely on this
-    to rebuild counterexamples from the paths they record."""
+    Returns the human-readable move descriptions and the violation that
+    ended the replay (None when the whole path applied cleanly).  Move
+    enumeration is deterministic, so the same path always reproduces
+    the same execution — the explorers rely on this to rebuild
+    counterexamples from the paths they record."""
+    from repro.verify.explorer import step
+
     trace: list[str] = []
-    try:
-        machine.run_ready()
-    except ESPError as err:
-        return trace, err
-    for step, index in enumerate(path):
+    found = step(machine, None, ())
+    for number, index in enumerate(path, start=1):
+        if found is not None:
+            break
         moves = machine.enabled_moves()
         if index >= len(moves):
             raise ReplayError(
-                f"step {step + 1}: path wants move {index} but only "
+                f"step {number}: path wants move {index} but only "
                 f"{len(moves)} move(s) are enabled"
             )
         move = moves[index]
         trace.append(move.describe(machine))
-        try:
-            machine.apply(move)
-            machine.run_ready()
-        except ESPError as err:
-            return trace, err
-    return trace, None
+        found = step(machine, move, ())
+    return trace, found
 
 
 def replay_violation(
@@ -97,37 +92,31 @@ def replay_violation(
     replays without reproducing any violation.  A reproduced violation
     equal to the original is the regression guarantee behind the
     explorers' replay-based reconstruction."""
-    from repro.verify.explorer import _violation_from
+    from repro.verify.explorer import deadlock, step
 
-    try:
-        machine.run_ready()
-    except ESPError as err:
-        return _violation_from(err, [], 0)
-    for step, description in enumerate(violation.trace, start=1):
+    invariants = invariants or []
+    found = step(machine, None, invariants)
+    depth = 0
+    for description in violation.trace:
+        if found is not None:
+            break
         moves = machine.enabled_moves()
         move = next(
             (m for m in moves if m.describe(machine) == description), None
         )
         if move is None:
             raise ReplayError(
-                f"step {step}: no enabled move matches {description!r}"
+                f"step {depth + 1}: no enabled move matches {description!r}"
             )
-        try:
-            machine.apply(move)
-            machine.run_ready()
-        except ESPError as err:
-            return _violation_from(err, violation.trace[:step], step)
-    for invariant in invariants or []:
-        message = invariant(machine)
-        if message is not None:
-            return Violation("invariant", message, list(violation.trace),
-                             len(violation.trace))
-    if (not machine.enabled_moves() and machine.blocked_processes()
-            and not (quiescence_ok and is_quiescent(machine))):
-        names = machine.blocked_summary()
-        return Violation("deadlock", f"no enabled move; blocked: {names}",
-                         list(violation.trace), len(violation.trace))
-    raise ReplayError("trace replayed without reproducing a violation")
+        found = step(machine, move, invariants)
+        depth += 1
+    if found is None and not machine.enabled_moves():
+        found = deadlock(machine, quiescence_ok)
+    if found is None:
+        raise ReplayError("trace replayed without reproducing a violation")
+    found.trace = list(violation.trace[:depth])
+    found.depth = depth
+    return found
 
 
 def replay_on_reference(

@@ -15,9 +15,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ESPError
 from repro.runtime.machine import Machine
-from repro.verify.explorer import _violation_from
+from repro.verify.explorer import step
 from repro.verify.properties import Invariant, Violation
 
 
@@ -64,10 +63,9 @@ class Simulator:
         for run in range(self.runs):
             result.runs += 1
             if initial is None:
-                try:
-                    self.machine.run_ready()
-                except ESPError as err:
-                    result.violations.append(_violation_from(err, [], 0))
+                found = step(self.machine, None, self.invariants)
+                if found is not None:
+                    result.violations.append(found)
                     break
                 initial = self.machine.snapshot()
             else:
@@ -80,26 +78,18 @@ class Simulator:
     def _walk(self, result: SimulationResult) -> bool:
         """One random walk; returns True when a violation was found."""
         trace: list[str] = []
-        for step in range(self.max_steps):
+        for count in range(1, self.max_steps + 1):
             moves = self.machine.enabled_moves()
             if not moves:
                 return False  # quiescent; nothing more can happen
             move = self.rng.choice(moves)
             trace.append(move.describe(self.machine))
-            try:
-                self.machine.apply(move)
-                self.machine.run_ready()
-            except ESPError as err:
-                result.steps += step + 1
-                result.violations.append(_violation_from(err, trace, step + 1))
+            found = step(self.machine, move, self.invariants)
+            if found is not None:
+                result.steps += count
+                found.trace = trace
+                found.depth = count
+                result.violations.append(found)
                 return True
-            for invariant in self.invariants:
-                message = invariant(self.machine)
-                if message is not None:
-                    result.steps += step + 1
-                    result.violations.append(
-                        Violation("invariant", message, list(trace), step + 1)
-                    )
-                    return True
         result.steps += self.max_steps
         return False

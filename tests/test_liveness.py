@@ -93,10 +93,7 @@ def test_no_goal_free_cycles_when_goal_is_on_every_loop():
     assert result.holds, result.summary()
 
 
-def test_always_eventually_violated_by_absorbing_state():
-    # Once `stopper` consumes the token, `worker` can never run again:
-    # a reachable state from which the goal is unreachable.
-    src = """
+ABSORBING = """
 channel tokenC: int
 channel outC: int
 external interface drain(in outC) { D($v) };
@@ -108,22 +105,61 @@ process worker {
     }
 }
 """
-    machine = Machine(compile_source(src), externals={"outC": SinkReader(["D"])})
+
+
+def absorbing_machine():
+    return Machine(compile_source(ABSORBING),
+                   externals={"outC": SinkReader(["D"])})
+
+
+def giver_active(m):
+    return pc_of(m, "giver").status is not Status.DONE
+
+
+def test_always_eventually_violated_by_absorbing_state():
+    # Once `stopper` consumes the token, `worker` can never run again:
+    # a reachable state from which the goal is unreachable.
+    machine = absorbing_machine()
 
     def worker_out(m):
         ps = pc_of(m, "worker")
         return ps.status is Status.BLOCKED and ps.block.kind == "out"
 
     # goal = the *giver* can still act; once the token is gone it cannot.
-    def giver_active(m):
-        return pc_of(m, "giver").status is not Status.DONE
-
     result = check_always_eventually(machine, giver_active)
     assert not result.holds
     assert "never reach the goal" in result.reason
     # but the worker keeps running forever: AG EF worker_out holds.
-    machine2 = Machine(compile_source(src), externals={"outC": SinkReader(["D"])})
+    machine2 = absorbing_machine()
     assert check_always_eventually(machine2, worker_out).holds
+
+
+def replay_witness(machine, witness):
+    """Run a witness on a fresh machine: every step must describe a
+    move enabled at that point.  Returns the machine in the end state."""
+    machine.run_ready()
+    for description in witness:
+        moves = machine.enabled_moves()
+        move = next((m for m in moves if m.describe(machine) == description),
+                    None)
+        assert move is not None, f"no enabled move is {description!r}"
+        machine.apply(move)
+        machine.run_ready()
+    return machine
+
+
+def test_witness_replays_to_the_absorbing_state():
+    result = check_always_eventually(absorbing_machine(), giver_active)
+    assert result.witness
+    end = replay_witness(absorbing_machine(), result.witness)
+    # The witness ends where the goal can never hold again.
+    assert not giver_active(end)
+
+
+def test_witness_replays_to_the_goal_free_cycle():
+    result = check_no_goal_free_cycles(fair_machine(), lambda m: False)
+    assert not result.holds and result.witness
+    replay_witness(fair_machine(), result.witness)
 
 
 def test_liveness_respects_state_budget():

@@ -386,7 +386,7 @@ process merge {
     bit = BitstateExplorer(machine2, bitmap_bits=1 << 16).explore()
     assert bit.ok
     # With a roomy bitmap the partial search stores every state.
-    assert bit.states_stored == exhaustive.states
+    assert bit.states == exhaustive.states
 
 
 def test_bitstate_finds_seeded_assertion():
@@ -416,7 +416,8 @@ process p { $n = 0; while (n < 6) { in( c, $x); n = n + 1; } }
     result = BitstateExplorer(machine, bitmap_bits=16, hash_count=1).explore()
     # A 16-bit bitmap cannot distinguish this space exactly: either the
     # bitmap is heavily filled or collisions silently dropped states.
-    assert result.fill_factor > 0.2 or result.states_stored < exhaustive.states
+    assert (result.stats["store"]["fill_factor"] > 0.2
+            or result.states < exhaustive.states)
 
 
 _BITSTATE_SRC = """
@@ -431,7 +432,7 @@ def _bitstate_run(seed: int) -> tuple[int, int]:
     machine = Machine(compile_source(_BITSTATE_SRC), externals={"c": env})
     result = BitstateExplorer(machine, bitmap_bits=128, hash_count=2,
                               seed=seed).explore()
-    return result.states_stored, result.transitions
+    return result.states, result.transitions
 
 
 def test_bitstate_same_seed_same_search():
@@ -460,7 +461,7 @@ def test_bitstate_seed_survives_hash_randomization():
         "machine = Machine(compile_source(src), externals={'c': env})\n"
         "r = BitstateExplorer(machine, bitmap_bits=128, hash_count=2,"
         " seed=7).explore()\n"
-        "print(r.states_stored, r.transitions)\n"
+        "print(r.states, r.transitions)\n"
     )
     outputs = []
     for hashseed in ("1", "99"):
@@ -472,6 +473,64 @@ def test_bitstate_seed_survives_hash_randomization():
                               check=True)
         outputs.append(proc.stdout.strip())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("reduce", [None, "por", "sym", "por,sym"])
+def test_bitstate_roomy_bitmap_matches_exhaustive_counts(reduce):
+    # Bit-state search is the exhaustive search over a bitmap store: with
+    # a bitmap large enough for no collision, every count is the same.
+    from repro.vmmc.retransmission import build_machine, protocol_source
+
+    source = protocol_source(window=2, messages=2)
+    exact = Explorer(build_machine(source), stop_at_first=False,
+                     reduce=reduce).explore()
+    bit = BitstateExplorer(build_machine(source), bitmap_bits=1 << 20,
+                           stop_at_first=False, reduce=reduce).explore()
+    assert (bit.states, bit.transitions, bit.transitions_pruned) == \
+        (exact.states, exact.transitions, exact.transitions_pruned)
+    assert bit.memory_bytes == (1 << 20) // 8 + 1
+
+
+def test_bitstate_store_reports_deadlock():
+    # Each process waits to receive from the other: no move is enabled.
+    from repro.verify.bitstate import BitstateStore
+
+    src = """
+channel aC: int
+channel bC: int
+process p { in( aC, $x); out( bC, x); }
+process q { in( bC, $y); out( aC, y); }
+"""
+    machine = Machine(compile_source(src))
+    result = Explorer(machine, quiescence_ok=False,
+                      store=BitstateStore(machine)).explore()
+    assert [v.kind for v in result.violations] == ["deadlock"]
+
+
+STOP_SRC = """
+channel c: int
+external interface feed(out c) { F($v) };
+process p { in( c, $x); assert( x == 0); }
+"""
+
+
+@pytest.mark.parametrize("search", ["plain", "por,sym", "bitstate"])
+def test_stop_at_first_stops_at_the_violating_move(search):
+    # F(1) and F(2) both fail the assertion; a search that stops at the
+    # first violation must not run the move after it.
+    def run(stop_at_first):
+        env = ChoiceWriter(["F"], [("F", (0,)), ("F", (1,)), ("F", (2,))])
+        machine = Machine(compile_source(STOP_SRC), externals={"c": env})
+        if search == "bitstate":
+            return BitstateExplorer(machine,
+                                    stop_at_first=stop_at_first).explore()
+        reduce = None if search == "plain" else search
+        return Explorer(machine, stop_at_first=stop_at_first,
+                        reduce=reduce).explore()
+
+    first, every = run(True), run(False)
+    assert len(every.violations) == 2
+    assert first.violations == every.violations[:1]
 
 
 # -- simulation mode -----------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Golden verifier counts on the real models.
 
 ``tests/goldens/verify_counts.json`` pins, for every run below, what
-the verifier explored: states (``states_stored`` for bit-state),
-transitions, ``transitions_pruned``, ``max_depth``, ``complete``, and
-each violation's kind, message, depth and trace.  The runs cover the
+the verifier explored: states, transitions, ``transitions_pruned``,
+``max_depth``, ``complete``, and each violation's kind, message, depth
+and trace.  The runs cover the
 VMMC per-process models with the benchmark corpus's environment
 bounds (plain and ``por,sym``), the three seeded ``sm1`` memory bugs,
 the retransmission protocol under every reduction mode, and bit-state
@@ -129,15 +129,14 @@ RUNS = _runs()
 
 
 def _record(result) -> dict:
-    states = getattr(result, "states", None)
-    if states is None:  # bit-state search stores no states
-        states = result.states_stored
+    # Bit-state search is the same search over a bitmap store, so it
+    # reports the same fields.
     return {
-        "states": states,
+        "states": result.states,
         "transitions": result.transitions,
-        "transitions_pruned": getattr(result, "transitions_pruned", None),
-        "max_depth": getattr(result, "max_depth", None),
-        "complete": getattr(result, "complete", None),
+        "transitions_pruned": result.transitions_pruned,
+        "max_depth": result.max_depth,
+        "complete": result.complete,
         "violations": [
             {"kind": v.kind, "message": v.message, "depth": v.depth,
              "trace": list(v.trace)}
