@@ -10,17 +10,19 @@ BENCH_engine.json; ``ESP_BENCH_SMOKE=1`` runs scaled-down models):
   dominated by ESP interpretation (each delivered chunk runs the full
   checksum/window firmware), not by event dispatch.
 
-* **dispatch** — per-event vs. batched convergence checking, isolated
-  from interpretation cost: an O(1)-handler flood firmware drives the
-  real Switch/NIC/event-queue stack at 64 nodes while ``run_until``
-  polls a global progress predicate (a remaining-work sum over every
-  node plus the switch quiescence check — the natural way to write a
-  fabric completion predicate, and deliberately free of short-circuit
-  exits).  Per-event dispatch pays that predicate after every event;
-  batched dispatch amortises it over ``batch_events``.  Gates: batched
-  >= 2x events/sec, and both modes process the identical event
-  sequence (same final per-node delivery counters, event counts equal
-  up to one batch of convergence-detection overshoot).
+* **dispatch** — convergence checking before every event
+  (``batch_events=1``) vs. once per batch of 128 (the fabric's
+  default), isolated from interpretation cost: an O(1)-handler flood
+  firmware drives the real Switch/NIC/event-queue stack at 64 nodes
+  while ``run_until`` polls a global progress predicate (a
+  remaining-work sum over every node plus the switch quiescence check
+  — the natural way to write a fabric completion predicate, and
+  deliberately free of short-circuit exits).  A batch of 1 pays that
+  predicate after every event; a batch of 128 amortises it.  Gates:
+  the batch of 128 reaches >= 2x events/sec, and both process the
+  identical event sequence (same final per-node delivery counters,
+  event counts equal up to one batch of convergence-detection
+  overshoot).
 
 The gates are enforced only in the full-size run, where the workload
 dominates timing noise.
@@ -136,8 +138,8 @@ class _FloodFirmware(FirmwareBase):
         return 100.0 * len(inputs), actions
 
 
-def _flood_run(dispatch: str, nodes: int, hops: int):
-    sim = Simulator(dispatch=dispatch)
+def _flood_run(batch_events: int, nodes: int, hops: int):
+    sim = Simulator(batch_events=batch_events)
     cost = CostModel()
     switch = Switch(sim, cost, nodes)
     firmwares = []
@@ -164,44 +166,45 @@ def _flood_run(dispatch: str, nodes: int, hops: int):
 
 
 def test_dispatch_speedup_gate():
+    batched = FabricConfig().batch_events
     table = Table(
-        f"Dispatch modes at {_FLOOD_NODES} nodes (flood firmware)",
-        ["mode", "events", "wall s", "events/s"],
+        f"Dispatch batch sizes at {_FLOOD_NODES} nodes (flood firmware)",
+        ["batch_events", "events", "wall s", "events/s"],
     )
     best = {}
     shape = {}
-    for dispatch in ("per-event", "batched"):
+    for batch in (1, batched):
         best_rate = 0.0
         for _ in range(_REPEATS):  # best-of-N damps scheduler noise
             run_events, elapsed, run_counters = _flood_run(
-                dispatch, _FLOOD_NODES, _FLOOD_HOPS)
+                batch, _FLOOD_NODES, _FLOOD_HOPS)
             best_rate = max(best_rate, run_events / max(elapsed, 1e-9))
-            shape[dispatch] = (run_events, run_counters)
-        best[dispatch] = best_rate
-        table.add(dispatch, shape[dispatch][0],
-                  round(shape[dispatch][0] / best_rate, 3), int(best_rate))
-    # Both modes ran the identical event sequence: same per-node
+            shape[batch] = (run_events, run_counters)
+        best[batch] = best_rate
+        table.add(batch, shape[batch][0],
+                  round(shape[batch][0] / best_rate, 3), int(best_rate))
+    # Both batch sizes ran the identical event sequence: same per-node
     # delivery counters, event counts equal up to one batch of
     # convergence-detection overshoot.
-    assert shape["per-event"][1] == shape["batched"][1]
-    overshoot = shape["batched"][0] - shape["per-event"][0]
-    assert 0 <= overshoot <= FabricConfig().batch_events
+    assert shape[1][1] == shape[batched][1]
+    overshoot = shape[batched][0] - shape[1][0]
+    assert 0 <= overshoot <= batched
 
-    speedup = best["batched"] / best["per-event"]
-    table.note(f"speedup {speedup:.2f}x — gate: batched >= "
+    speedup = best[batched] / best[1]
+    table.note(f"speedup {speedup:.2f}x — gate: batch_events={batched} >= "
                f"{DISPATCH_MIN_SPEEDUP}x events/sec "
                f"({'advisory in smoke mode' if _SMOKE else 'enforced'})")
     table.show()
     _write_rows("dispatch", dict(
         nodes=_FLOOD_NODES,
         hops=_FLOOD_HOPS,
-        per_event_events=shape["per-event"][0],
-        batched_events=shape["batched"][0],
-        per_event_events_per_sec=round(best["per-event"], 1),
-        batched_events_per_sec=round(best["batched"], 1),
+        per_event_events=shape[1][0],
+        batched_events=shape[batched][0],
+        per_event_events_per_sec=round(best[1], 1),
+        batched_events_per_sec=round(best[batched], 1),
         speedup=round(speedup, 2),
     ))
     if not _SMOKE:
         assert speedup >= DISPATCH_MIN_SPEEDUP, (
-            f"batched dispatch speedup {speedup:.2f}x below "
+            f"batch_events={batched} speedup {speedup:.2f}x below "
             f"{DISPATCH_MIN_SPEEDUP}x gate")

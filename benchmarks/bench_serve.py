@@ -71,7 +71,7 @@ def _distinct_specs() -> list[JobSpec]:
         specs.append(JobSpec(source=chain_source(6), max_depth=64))
         specs.append(JobSpec(source=chain_source(8), max_states=500))
         specs.append(JobSpec(source=protocol_source(2, 3),
-                             quiescence_ok=False, store="disk"))
+                             quiescence_ok=False, store="plain"))
     return specs
 
 

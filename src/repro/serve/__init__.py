@@ -8,9 +8,6 @@ one-shot CLI runs.  This package contains the daemon and its parts:
   content-addressed cache key of a verification job;
 * :mod:`repro.serve.cache` — the result cache (memory LRU over a
   content-addressed disk spool);
-* :mod:`repro.serve.store` — the disk-backed visited-state store
-  (mmap'd append-only segments + an in-memory digest index) that lets
-  one job exceed RAM;
 * :mod:`repro.serve.worker` — the forked verification worker, with
   collapse tables retained across jobs (incremental re-verification);
 * :mod:`repro.serve.daemon` — the asyncio job server;
@@ -22,7 +19,6 @@ See docs/SERVE.md for the protocol and the cache-key definition.
 
 from repro.serve.keys import JobSpec, cache_key, canonical_ir_hash
 from repro.serve.cache import ResultCache
-from repro.serve.store import DiskVisitedStore
 from repro.serve.daemon import ServeDaemon, serve_until_stopped
 from repro.serve.client import ServeClient, ServeError, wait_for_server
 
@@ -31,7 +27,6 @@ __all__ = [
     "cache_key",
     "canonical_ir_hash",
     "ResultCache",
-    "DiskVisitedStore",
     "ServeDaemon",
     "serve_until_stopped",
     "ServeClient",

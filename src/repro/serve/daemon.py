@@ -19,18 +19,16 @@ The submit path is where the content-addressed discipline pays off:
 
 Crash discipline: a worker that dies mid-job (SIGKILL, OOM) breaks its
 pipe; the daemon reaps it, respawns a replacement, and retries the job
-(bounded by ``max_retries``).  A retried disk-store job re-opens the
-dead attempt's segment directory through the recovery scan first (see
-:mod:`repro.serve.store`).
+(bounded by ``max_retries``).
 
 Shutdown — whether by the ``shutdown`` op, SIGTERM, or SIGINT — must
 leave nothing behind: queued jobs are failed with ``shutting-down``,
 workers get a stop message then SIGTERM then SIGKILL (the escalation is
 bounded, so a wedged job cannot hang the exit), every worker process is
-``join``-ed (no zombies), the socket file is unlinked, and the
-spool directory — job segment stores and any tempfiles — is removed.
-Only an explicitly configured ``cache_dir`` survives, by design: it is
-the persistent tier of the result cache.
+``join``-ed (no zombies), the socket file is unlinked, and a spool
+directory the daemon created is removed.  Only an explicitly
+configured ``cache_dir`` survives, by design: it is the persistent tier
+of the result cache.
 """
 
 from __future__ import annotations
@@ -164,7 +162,7 @@ class ServeDaemon:
         # not the daemon flag — a worker whose daemon dies sees EOF on
         # its next recv and exits.
         proc = self._ctx.Process(
-            target=worker_main, args=(child_conn, self.spool), daemon=False
+            target=worker_main, args=(child_conn,), daemon=False
         )
         proc.start()
         child_conn.close()
@@ -270,7 +268,7 @@ class ServeDaemon:
             worker.job = job
             try:
                 worker.conn.send({
-                    "op": "job", "id": job.id, "key": job.key,
+                    "op": "job", "id": job.id,
                     "spec": job.spec.to_wire(), "attempt": job.attempts,
                 })
             except (BrokenPipeError, OSError):
@@ -444,11 +442,6 @@ class ServeDaemon:
             pass
         if self._owns_spool:
             shutil.rmtree(self.spool, ignore_errors=True)
-        else:
-            # A caller-provided spool survives, but job segment stores
-            # have no value once the daemon (and its cache) is gone.
-            shutil.rmtree(os.path.join(self.spool, "jobs"),
-                          ignore_errors=True)
 
     # -- observability ------------------------------------------------------------
 

@@ -24,8 +24,8 @@ Channel names, record field names, union tags, and interface entry
 names are *kept*: they are part of the program's external interface
 (messages and verdict text mention them).  Two jobs differing in any
 property, reduction mode, or bound get different keys; the
-visited-store kind is excluded, because the collapse, plain, and disk
-stores are all exact.
+visited-store kind is excluded, because the collapse and plain stores
+are both exact.
 
 Caveat, documented in docs/SERVE.md: a cached result's violation text
 was rendered from the *first* submission's source, so an alpha-renamed
@@ -196,6 +196,10 @@ def normalize_reduce(reduce: str | None) -> str | None:
     return ",".join(modes)
 
 
+# The visited-store backends a job may name.
+STORES = ("collapse", "plain")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One verification request, as submitted over the wire.
@@ -203,8 +207,8 @@ class JobSpec:
     ``process`` switches to the per-process memory-safety harness of
     §5.3, whose extra bounds (``int_domain``, ``array_sizes``,
     ``max_objects``, ``env_budget``) then join the key.  ``store`` picks
-    the visited-store backend; all backends are exact, so it is
-    excluded from the key.
+    the visited-store backend, ``collapse`` or ``plain``; both are
+    exact, so it is excluded from the key.
     """
 
     source: str
@@ -220,6 +224,13 @@ class JobSpec:
     array_sizes: tuple[int, ...] = (1,)
     max_objects: int | None = 24
     env_budget: int | None = None
+
+    def __post_init__(self):
+        if self.store not in STORES:
+            raise ValueError(
+                f"unknown visited store {self.store!r}; "
+                f"expected one of {STORES}"
+            )
 
     def properties(self) -> tuple[str, ...]:
         """The property set this job checks, for the cache key."""

@@ -12,17 +12,12 @@ sound — each job keeps its own visited set).
 
 Crash discipline: a worker that dies mid-job (OOM-killed, SIGKILLed)
 leaves its pipe broken; the daemon respawns the worker and retries the
-job.  A retried disk-store job finds the dead attempt's segment
-directory, records what the recovery scan salvaged (and what it
-truncated), then clears it and re-explores from scratch — the visited
-rows alone are not enough to *resume* soundly (the frontier is not
-persisted), so the retry is a clean re-run.
+job from scratch.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import signal
 import sys
 import traceback
@@ -33,10 +28,6 @@ from repro.verify.collapse import CollapseTables, MachineCollapseStore
 # Retained component tables are reset once they cross this many
 # components, bounding a long-lived worker's footprint.
 TABLE_COMPONENT_LIMIT = 1 << 20
-
-
-def _wipe_dir(path: str) -> None:
-    shutil.rmtree(path, ignore_errors=True)
 
 
 def result_body(result, spec, report=None) -> dict:
@@ -88,8 +79,7 @@ def deterministic_body(body: dict) -> dict:
             if k not in ("stats", "store", "worker")}
 
 
-def run_job(spec, key: str, attempt: int, spool: str,
-            tables: CollapseTables) -> dict:
+def run_job(spec, attempt: int, tables: CollapseTables) -> dict:
     """Execute one verification job; returns the JSON-able result body.
 
     The body is deterministic for a given (canonical program, spec):
@@ -101,7 +91,6 @@ def run_job(spec, key: str, attempt: int, spool: str,
     from repro.lang.program import frontend
     from repro.runtime.machine import Machine
     from repro.serve.keys import JobSpec, normalize_reduce
-    from repro.serve.store import DiskVisitedStore
     from repro.verify.environment import default_verification_bridges
     from repro.verify.explorer import Explorer
     from repro.verify.memsafety import build_isolated_machine
@@ -127,40 +116,13 @@ def run_job(spec, key: str, attempt: int, spool: str,
             ),
         )
 
-    store_recovery = None
-    disk_store = None
-    job_dir = None
-    if spec.store == "disk":
-        job_dir = os.path.join(spool, "jobs", key)
-        if os.path.isdir(job_dir):
-            # A previous attempt died here: run the recovery scan for
-            # the record, then start clean (see module doc).
-            from repro.serve.store import DiskKeySet
-
-            salvage = DiskKeySet(job_dir)
-            store_recovery = salvage.stats()
-            salvage.close()
-            _wipe_dir(job_dir)
-        disk_store = DiskVisitedStore(job_dir, tables=tables)
-        store = disk_store
-    elif spec.store == "plain":
-        store = "plain"
-    else:
-        store = MachineCollapseStore(tables=tables)
-    explorer = Explorer(
+    store = ("plain" if spec.store == "plain"
+             else MachineCollapseStore(tables=tables))
+    result = Explorer(
         machine, max_states=spec.max_states, max_depth=spec.max_depth,
         check_deadlock=spec.check_deadlock,
         quiescence_ok=spec.quiescence_ok, store=store, reduce=reduce,
-    )
-    try:
-        result = explorer.explore()
-    finally:
-        if disk_store is not None:
-            disk_store.close()
-        if job_dir is not None:
-            # The cache keeps the verdict; the visited rows have no
-            # further use once the job succeeded or raised cleanly.
-            _wipe_dir(job_dir)
+    ).explore()
 
     body = result_body(result, spec, report)
     # Worker-side observability: NOT part of the cached result (the
@@ -170,17 +132,16 @@ def run_job(spec, key: str, attempt: int, spool: str,
         "attempt": attempt,
         "tables": tables.stats(),
         "table_reset": table_reset,
-        "store_recovery": store_recovery,
     }
     return body
 
 
-def worker_main(conn, spool: str) -> None:
+def worker_main(conn) -> None:
     """Pull jobs off the daemon pipe until told to stop.
 
-    SIGTERM exits through ``SystemExit``, so the running job's
-    ``finally`` blocks still close and wipe its disk store — the
-    daemon's shutdown path relies on this to leave no files behind.
+    SIGTERM exits through ``SystemExit``, a clean interpreter exit (the
+    daemon's shutdown path sends it to a worker still busy after the
+    stop message).
     """
     from repro.serve.keys import JobSpec
 
@@ -197,8 +158,7 @@ def worker_main(conn, spool: str) -> None:
         job_id = msg.get("id")
         try:
             spec = JobSpec.from_wire(msg["spec"])
-            body = run_job(spec, key=msg["key"],
-                           attempt=msg.get("attempt", 0), spool=spool,
+            body = run_job(spec, attempt=msg.get("attempt", 0),
                            tables=tables)
             reply = {"id": job_id, "ok": True, "result": body}
         except ESPError as err:

@@ -8,7 +8,7 @@ through the interpreter, the baseline through the Appendix-A handler
 framework), and all costs are counted cycles, so results are
 deterministic."""
 
-from repro.sim.events import DISPATCH_MODES, Simulator
+from repro.sim.events import Simulator
 from repro.sim.timing import CostModel, ReliabilityCounters
 from repro.sim.dma import DMAEngine
 from repro.sim.faults import FaultPlan, FaultSession
@@ -28,7 +28,6 @@ from repro.sim.fabric import (
 
 __all__ = [
     "Simulator",
-    "DISPATCH_MODES",
     "CostModel",
     "ReliabilityCounters",
     "DMAEngine",

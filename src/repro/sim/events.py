@@ -11,20 +11,16 @@ allocated.  Event order is exactly the historical (time, sequence)
 order: buckets only change how the queue is stored, never what fires
 when.
 
-Two dispatch strategies share that queue:
-
-* ``per-event`` (the default) — ``run_until`` re-evaluates its
-  predicate before every event, the historical behaviour the 2-node
-  harnesses and the golden traces depend on;
-* ``batched`` — ``run_until`` dispatches up to ``batch_events`` events
-  between predicate evaluations.  At fabric scale the convergence
-  predicate walks every node's endpoints, so evaluating it per event
-  is the hot path; batching amortises it.  Event *order* is identical
-  in both modes — one seed still yields byte-identical stats — the
-  only difference is where the predicate may first be observed true
-  (a batched run can overshoot by at most one batch; a run that then
-  drains to quiescence ends in the same state either way, which is
-  why per-node counters are dispatch-mode independent).
+``run_until`` evaluates its stop predicate once per ``batch_events``
+events.  The default, 1, evaluates it before every event, which the
+2-node harnesses and the golden traces depend on.  At fabric scale the
+convergence predicate walks every node's endpoints, so evaluating it
+per event is the hot path; a larger batch amortises it.  Event *order*
+does not depend on the batch size — one seed still yields
+byte-identical stats — only where the predicate may first be observed
+true does (a run can overshoot by at most one batch; a run that then
+drains to quiescence ends in the same state either way, which is why
+per-node counters do not depend on the batch size).
 """
 
 from __future__ import annotations
@@ -33,21 +29,13 @@ import heapq
 from collections import deque
 from typing import Callable
 
-DISPATCH_MODES = ("per-event", "batched")
-
 
 class Simulator:
     """The event queue and clock shared by all simulated components."""
 
-    def __init__(self, dispatch: str = "per-event", batch_events: int = 128):
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; "
-                f"expected one of {DISPATCH_MODES}"
-            )
+    def __init__(self, batch_events: int = 1):
         if batch_events < 1:
             raise ValueError(f"batch_events must be >= 1, got {batch_events}")
-        self.dispatch = dispatch
         self.batch_events = batch_events
         self.now = 0.0
         self.events_processed = 0
@@ -129,34 +117,9 @@ class Simulator:
         drained first, or when the ``until_us`` deadline passed (the
         soak harness's non-convergence watchdog).
 
-        In ``batched`` dispatch the predicate is evaluated once per
-        ``batch_events`` events instead of once per event; see the
-        module docstring for the (unchanged) determinism contract.
+        The predicate is evaluated once per ``batch_events`` events; see
+        the module docstring for the (unchanged) determinism contract.
         """
-        if self.dispatch == "batched":
-            return self._run_until_batched(predicate, max_events, until_us)
-        for _ in range(max_events):
-            if predicate():
-                return True
-            time = self._peek_time()
-            if until_us is not None and time is not None and time > until_us:
-                self.now = until_us
-                return predicate()
-            if not self.step():
-                # Queue drained before the deadline: advance the clock
-                # to the horizon (exactly as :meth:`run` does) *before*
-                # the final predicate check, so a time-dependent
-                # watchdog fires on this call rather than one event
-                # late — and callers deriving follow-up deadlines from
-                # ``now`` don't start from a stale clock.
-                if until_us is not None and until_us > self.now:
-                    self.now = until_us
-                return predicate()
-        raise RuntimeError(f"simulation exceeded {max_events} events")
-
-    def _run_until_batched(self, predicate: Callable[[], bool],
-                           max_events: int,
-                           until_us: float | None) -> bool:
         remaining = max_events
         batch = self.batch_events
         times = self._times
@@ -166,8 +129,8 @@ class Simulator:
                 return True
             limit = batch if batch < remaining else remaining
             processed = 0
-            # The inner loop is the fabric hot path: dispatch straight
-            # off the buckets, no per-event predicate or method calls.
+            # The inner loop is the hot path: dispatch straight off the
+            # buckets, no per-event predicate or method calls.
             while processed < limit:
                 ready = self._ready
                 if not ready:
@@ -194,15 +157,13 @@ class Simulator:
                 # only an *unsatisfied* one advances to the horizon, so
                 # the watchdog clamp never masquerades as the
                 # convergence time.
-                time = self._peek_time()
-                if until_us is not None and (time is None or time > until_us):
-                    if predicate():
-                        return True
-                    if until_us > self.now:
-                        self.now = until_us
+                if until_us is None:
                     return predicate()
-                if time is None:
-                    return predicate()
+                if predicate():
+                    return True
+                if until_us > self.now:
+                    self.now = until_us
+                return predicate()
             if remaining <= 0:
                 if predicate():
                     return True
@@ -212,5 +173,5 @@ class Simulator:
 
     def pending(self) -> int:
         """Unfired events — including the not-yet-dispatched remainder
-        of the bucket a batched ``run_until`` stopped inside."""
+        of the bucket a ``run_until`` stopped inside."""
         return self._count

@@ -27,11 +27,11 @@ byte-identical :meth:`FabricReport.stats_json` on every run, at every
 node count, because all randomness is string-seeded
 (``esp-fabric/<seed>/...`` for flow selection, the fault plan's own
 streams per link) and the event queue is a strict (time, insertion)
-order.  Per-node *counters* are additionally independent of the
-dispatch mode (``batched`` may only overshoot the convergence check by
+order.  Per-node *counters* are additionally independent of
+``batch_events`` (a batch may only overshoot the convergence check by
 one batch, and a converged run drains to quiescence either way); only
 the wall-clock fields (``time_us``, ``converged_at_us``, goodput) may
-differ between modes.
+differ between batch sizes.
 
 N=2 is deliberately degenerate: the node firmware holds exactly one
 endpoint, the network is the legacy :class:`repro.sim.network.Wire`,
@@ -45,7 +45,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from repro.sim.events import DISPATCH_MODES, Simulator
+from repro.sim.events import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.host import Host
 from repro.sim.network import Wire
@@ -144,7 +144,6 @@ class FabricConfig:
     churn_span_us: float = 5_000.0
     switch: SwitchConfig = field(default_factory=SwitchConfig)
     deadline_us: float | None = None
-    dispatch: str = "batched"
     batch_events: int = 128
 
     def __post_init__(self):
@@ -162,11 +161,9 @@ class FabricConfig:
             raise ValueError(f"messages must be >= 1, got {self.messages}")
         if self.messages_back < 0:
             raise ValueError("messages_back must be >= 0")
-        if self.dispatch not in DISPATCH_MODES:
+        if self.batch_events < 1:
             raise ValueError(
-                f"unknown dispatch mode {self.dispatch!r}; "
-                f"expected one of {DISPATCH_MODES}"
-            )
+                f"batch_events must be >= 1, got {self.batch_events}")
 
 
 def build_flows(config: FabricConfig) -> list[Flow]:
@@ -297,8 +294,8 @@ class FabricReport:
 
     ``stats_json`` is byte-identical across runs of the same
     ``(config, plan)``; everything except the wall-clock fields
-    (``time_us``, ``converged_at_us``, ``goodput_mb_s``) is also
-    identical across dispatch modes.
+    (``time_us``, ``converged_at_us``, ``goodput_mb_s``) and
+    ``batch_events`` itself is also identical across batch sizes.
     """
 
     converged: bool
@@ -344,7 +341,7 @@ class FabricReport:
             "events": self.events,
             "nodes": self.config.nodes,
             "scenario": self.config.scenario,
-            "dispatch": self.config.dispatch,
+            "batch_events": self.config.batch_events,
             "seed": self.config.seed,
             "messages_total": self.total_messages(),
             "exactly_once_in_order": self.exactly_once_in_order(),
@@ -392,8 +389,7 @@ def run_fabric(config: FabricConfig, plan: FaultPlan | None = None,
     degenerates to the legacy point-to-point wire harness."""
     cost = cost or CostModel()
     flows = sorted(build_flows(config), key=lambda f: (f.src, f.dst))
-    sim = Simulator(dispatch=config.dispatch,
-                    batch_events=config.batch_events)
+    sim = Simulator(batch_events=config.batch_events)
     session = plan.start() if plan is not None else None
 
     # Every (node, peer) an endpoint must exist for — both ends of

@@ -242,7 +242,7 @@ def cmd_sim(args) -> int:
                     chunk_bytes=args.chunk_bytes,
                     timeout_us=args.timeout_us,
                     deadline_us=args.deadline_us,
-                    dispatch=args.dispatch,
+                    batch_events=args.batch_events,
                     switch=SwitchConfig(
                         port_mb_s=args.port_mb_s,
                         buffer_bytes=args.buffer_bytes
@@ -498,12 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="scenario seed (churn flow selection; fault "
                         "randomness is seeded by --faults)")
-    p.add_argument("--dispatch", choices=("per-event", "batched"),
-                   default="batched",
-                   help="fabric event-dispatch strategy: 'batched' "
-                        "amortises the convergence check over event "
-                        "batches (counters are identical either way; "
-                        "default batched)")
+    p.add_argument("--batch-events", type=_positive_int, default=128,
+                   metavar="N",
+                   help="fabric events dispatched between convergence "
+                        "checks; 1 checks before every event (counters "
+                        "are identical either way; default 128)")
     p.add_argument("--buffer-bytes", type=_positive_int, default=None,
                    help="switch shared packet buffer (default 262144)")
     p.add_argument("--port-mb-s", type=float, default=None,
@@ -574,9 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce", choices=("por", "sym", "por,sym", "none"),
                    default=None)
     p.add_argument(
-        "--store", choices=("collapse", "plain", "disk"), default="collapse",
-        help="visited-store backend; 'disk' spills visited states to "
-             "mmap'd segments so one job can exceed RAM (docs/SERVE.md)",
+        "--store", choices=("collapse", "plain"), default="collapse",
+        help="visited-store backend: 'collapse' (default) or the "
+             "uncompressed 'plain' reference; both are exact",
     )
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the daemon's reply")

@@ -150,23 +150,20 @@ class MachineCollapseStore:
     canonical states ``(procs, heap_entries, ext)``.
 
     ``tables`` plugs in a retained :class:`CollapseTables` bundle
-    (fresh tables are built otherwise); ``key_set`` replaces the
-    in-memory visited set with any object providing ``add``/``in``/
-    ``len`` over packed index keys — the disk-backed store of
-    :mod:`repro.serve.store` passes its mmap-segment set here."""
+    (fresh tables are built otherwise)."""
 
     kind = "collapse"
 
     __slots__ = ("procs", "objects", "vectors", "exts", "_seen",
                  "_key_bytes", "_size_seen", "_proc_cache", "_tables")
 
-    def __init__(self, tables: CollapseTables | None = None, key_set=None):
+    def __init__(self, tables: CollapseTables | None = None):
         self._tables = tables if tables is not None else CollapseTables()
         self.procs = self._tables.procs
         self.objects = self._tables.objects
         self.vectors = self._tables.vectors
         self.exts = self._tables.exts
-        self._seen = key_set if key_set is not None else set()
+        self._seen: set = set()
         self._key_bytes = 0
         self._size_seen = self._tables.size_seen
         # pid -> (snapshot record, interned index): the index of a
@@ -307,20 +304,14 @@ class MachineCollapseStore:
 
     def memory_bytes(self) -> int:
         """Actual footprint: component payloads + table dicts + the
-        per-state index keys + the visited set itself.  A pluggable
-        key set reports its own (in-memory) footprint — for the
-        disk-backed set that is its digest index, not its segments."""
-        seen = self._seen
-        if hasattr(seen, "memory_bytes"):
-            total = seen.memory_bytes()
-        else:
-            total = self._key_bytes + sys.getsizeof(seen)
+        per-state index keys + the visited set itself."""
+        total = self._key_bytes + sys.getsizeof(self._seen)
         for table in (self.procs, self.objects, self.vectors, self.exts):
             total += table.payload_bytes + sys.getsizeof(table.index_of)
         return total
 
     def stats(self) -> dict:
-        stats = {
+        return {
             "kind": self.kind,
             "states": len(self._seen),
             "key_bytes": self._key_bytes,
@@ -331,9 +322,6 @@ class MachineCollapseStore:
                               self.exts)
             },
         }
-        if hasattr(self._seen, "stats"):
-            stats["key_set"] = self._seen.stats()
-        return stats
 
 
 class GenericCollapseStore:
@@ -445,13 +433,10 @@ def make_visited_store(machine, kind="collapse"):
     default, shaped by whether the machine uses the plain-Machine
     canonical encoding; ``kind="plain"`` selects the uncompressed
     reference store.  ``kind`` may also be a ready store instance
-    (anything with ``add_current``) or a factory ``machine -> store``
-    — the disk-backed store of :mod:`repro.serve.store` arrives
-    through these."""
+    (anything with ``add_current``), which is how bit-state search
+    passes its :class:`repro.verify.bitstate.BitstateStore`."""
     if hasattr(kind, "add_current"):
         return kind
-    if callable(kind):
-        return kind(machine)
     if kind == "plain":
         return PlainStore()
     if kind != "collapse":

@@ -195,6 +195,16 @@ class CoupledSystem:
             blocked.extend(machine.blocked_processes())
         return blocked
 
+    def blocked_summary(self) -> str:
+        """Each machine's :meth:`Machine.blocked_summary`, tagged with
+        its index the way moves are (``m0: relay at <esp>:8:9``)."""
+        parts = []
+        for index, machine in enumerate(self.machines):
+            summary = machine.blocked_summary()
+            if summary:
+                parts.append(f"m{index}: {summary}")
+        return ", ".join(parts)
+
     def all_done(self) -> bool:
         return all(machine.all_done() for machine in self.machines)
 

@@ -142,9 +142,9 @@ class Explorer:
         max_states: int | None = None,
         max_depth: int | None = None,
         stop_at_first: bool = True,
-        # "collapse", "plain", a ready store instance, or a factory
-        # ``machine -> store`` (see repro.verify.collapse.make_visited_store;
-        # an instance must be fresh — explore() fills its visited set).
+        # "collapse", "plain", or a ready store instance (see
+        # repro.verify.collapse.make_visited_store; an instance must be
+        # fresh — explore() fills its visited set).
         store="collapse",
         reduce: str | None = None,
     ):

@@ -84,12 +84,11 @@ class Simulator:
                 return False  # quiescent; nothing more can happen
             move = self.rng.choice(moves)
             trace.append(move.describe(self.machine))
+            result.steps += 1
             found = step(self.machine, move, self.invariants)
             if found is not None:
-                result.steps += count
                 found.trace = trace
                 found.depth = count
                 result.violations.append(found)
                 return True
-        result.steps += self.max_steps
         return False

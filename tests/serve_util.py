@@ -21,7 +21,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from types import SimpleNamespace
 
 from repro.serve.client import ServeClient, wait_for_server
@@ -87,9 +86,7 @@ def serial_reference(spec: JobSpec) -> dict:
     fresh in-process run with the default in-memory store — the serial
     ``espc verify`` ground truth for the differential tests."""
     reference_spec = dataclasses.replace(spec, store="collapse")
-    with tempfile.TemporaryDirectory(prefix="esp-serve-ref-") as spool:
-        body = run_job(reference_spec, key="reference", attempt=0,
-                       spool=spool, tables=CollapseTables())
+    body = run_job(reference_spec, attempt=0, tables=CollapseTables())
     return deterministic_body(body)
 
 

@@ -66,6 +66,23 @@ def test_token_circulates_between_machines():
     assert len(result.violations[0].trace) >= 10
 
 
+def test_ring_without_token_deadlocks_naming_both_relays():
+    # No token injected: each relay waits on its wire for good.  With
+    # quiescence_ok=False that is one deadlock, and its message names
+    # the blocked relay of each machine.
+    system = CoupledSystem(
+        [make_node(), make_node()],
+        [
+            Link(src=0, out_channel="toWireC", dst=1, in_channel="fromWireC"),
+            Link(src=1, out_channel="toWireC", dst=0, in_channel="fromWireC"),
+        ],
+    )
+    result = Explorer(system, quiescence_ok=False).explore()
+    assert [v.kind for v in result.violations] == ["deadlock"]
+    message = result.violations[0].message
+    assert "m0: relay at " in message and "m1: relay at " in message
+
+
 def test_bounded_token_ring_verifies_clean():
     source = NODE.replace("assert( x < 10);", "if (x > 3) { x = 0; }")
     a = Machine(compile_source(source))

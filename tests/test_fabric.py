@@ -10,9 +10,10 @@ Three contracts lock the N-node fabric down:
 2. **Determinism** — one ``(config, plan)`` pair yields byte-identical
    ``stats_json`` across repeated runs, at every node count, through
    the CLI included.
-3. **Dispatch-mode independence** — batched dispatch may only change
-   *when* convergence is observed (wall-clock fields); every counter
-   is identical to per-event dispatch.
+3. **Batch-size independence** — checking convergence once per batch
+   of events may only change *when* convergence is observed
+   (wall-clock fields); every counter is identical to checking before
+   every event (``batch_events=1``).
 
 Plus the conservation property: under random topologies x random fault
 plans, every injected payload is delivered exactly once and in order,
@@ -34,8 +35,8 @@ from tests.strategies import fault_plans, topologies
 _ALL_FAULTS = FaultPlan(seed=77, drop=0.05, dup=0.02, reorder=0.01,
                         delay=0.05, corrupt=0.01, dma_stall=0.01)
 
-# Wall-clock report fields that legitimately depend on the dispatch
-# mode (batched convergence detection may overshoot by one batch).
+# Wall-clock report fields that legitimately depend on the batch size
+# (batched convergence detection may overshoot by one batch).
 _TIME_FIELDS = ("time_us", "converged_at_us", "goodput_mb_s")
 
 
@@ -80,13 +81,14 @@ def test_two_node_fabric_matches_legacy_wire_under_faults():
 
 
 def test_two_node_fabric_matches_legacy_per_event_including_clock():
-    # In per-event dispatch even the wall clock is identical: the
-    # fabric harness is the legacy harness at N=2.
+    # With a convergence check before every event (batch_events=1)
+    # even the wall clock is identical: the fabric harness is the
+    # legacy harness at N=2.
     legacy = run_over_faulty_link(messages=20, messages_back=5,
                                   plan=_ALL_FAULTS)
     fabric = run_fabric(
         FabricConfig(nodes=2, scenario="pairwise", messages=20,
-                     messages_back=5, dispatch="per-event"),
+                     messages_back=5, batch_events=1),
         plan=_ALL_FAULTS,
     )
     _assert_matches_legacy(fabric, legacy)
@@ -150,7 +152,7 @@ def test_cli_stats_json_byte_identical(capsys):
     assert payload["nodes"] == 4 and payload["scenario"] == "incast"
 
 
-# -- 3. dispatch-mode independence ----------------------------------------------
+# -- 3. batch-size independence -------------------------------------------------
 
 
 @pytest.mark.parametrize("scenario,nodes", [("incast", 6), ("churn", 4)])
@@ -158,14 +160,14 @@ def test_batched_and_per_event_agree_on_every_counter(scenario, nodes):
     plan = FaultPlan(seed=13, drop=0.04, dup=0.02, corrupt=0.01)
     base = FabricConfig(nodes=nodes, scenario=scenario, messages=3, seed=2)
     batched = run_fabric(base, plan=plan)
-    per_event = run_fabric(dataclasses.replace(base, dispatch="per-event"),
+    per_event = run_fabric(dataclasses.replace(base, batch_events=1),
                            plan=plan)
     assert batched.converged and per_event.converged
     assert batched.events == per_event.events
     batched_dict = _counters(batched.as_dict())
     per_event_dict = _counters(per_event.as_dict())
-    batched_dict.pop("dispatch")
-    per_event_dict.pop("dispatch")
+    assert batched_dict.pop("batch_events") == 128
+    assert per_event_dict.pop("batch_events") == 1
     assert batched_dict == per_event_dict
 
 

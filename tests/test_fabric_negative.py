@@ -172,7 +172,7 @@ def test_unattached_port_is_a_hard_error():
     dict(scenario="hot_receiver", nodes=2),
     dict(messages=0),
     dict(messages_back=-1),
-    dict(dispatch="warp"),
+    dict(batch_events=0),
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):

@@ -4,16 +4,19 @@ Everything here drives the real CLI daemon over its Unix socket: the
 submit path (verdict parity with a serial ``espc verify`` run), the
 content-addressed cache (O(1) resubmission, alpha-rename hits,
 persistent disk tier), same-key request coalescing, compile-error
-replies, observability counters, and — the satellite fix — a shutdown
-that reaps every forked worker and removes every socket/tempfile even
-while jobs are still queued (the leak check).
+and bad-request replies, observability counters, a worker killed
+mid-job (respawned, the job retried), and a shutdown that reaps every
+forked worker and removes every socket/tempfile even while jobs are
+still queued (the leak check).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import tempfile
+import threading
 import time
 
 import pytest
@@ -42,7 +45,7 @@ def test_submit_matches_serial_verify(tmp_path):
     specs = [
         JobSpec(source=OK_SOURCE),
         JobSpec(source=VIOLATING_SOURCE),
-        JobSpec(source=OK_SOURCE, store="disk"),
+        JobSpec(source=OK_SOURCE, store="plain"),
         JobSpec(source=protocol_source(2, 2), quiescence_ok=False),
     ]
     with daemon_process(tmp_path) as daemon:
@@ -145,6 +148,21 @@ def test_unknown_job_field_is_a_bad_request(tmp_path):
             assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
+def test_unknown_store_is_a_bad_request(tmp_path):
+    # Only the collapse and plain stores exist: any other store name,
+    # the removed disk store included, is refused by name instead of
+    # silently running as collapse, and the daemon keeps serving.
+    with daemon_process(tmp_path) as daemon:
+        with ServeClient(daemon.socket) as client:
+            for store in ("disk", "bogus"):
+                wire = dict(JobSpec(source=OK_SOURCE).to_wire(), store=store)
+                reply = client.submit(wire)
+                assert reply["ok"] is False
+                assert reply["kind"] == "bad-request", reply
+                assert repr(store) in reply["error"], reply["error"]
+            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
+
+
 def test_lex_and_nesting_errors_reply_as_compile_diagnostics(tmp_path):
     # A non-ASCII digit and too-deep nesting used to escape the front end
     # as ValueError / RecursionError and come back as "bad-request".
@@ -199,13 +217,51 @@ def test_stats_counters_shape(tmp_path):
 
 
 @pytest.mark.slow
+def test_worker_sigkill_mid_job_retries_cleanly(tmp_path):
+    # Full exploration (~1.5 s, no early stop): a wide-open window to
+    # SIGKILL the only worker while the job runs.
+    spec = JobSpec(source=protocol_source(4, 5))
+    with daemon_process(tmp_path, workers=1) as daemon:
+        with ServeClient(daemon.socket) as client:
+            victim = client.stats()["workers"]["pids"][0]
+            outcome = {}
+
+            def submit():
+                with ServeClient(daemon.socket) as submitter:
+                    outcome["reply"] = submitter.submit(spec)
+
+            thread = threading.Thread(target=submit)
+            thread.start()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                stats = client.stats()
+                if stats["inflight"] == 1 and stats["workers"]["idle"] == 0:
+                    break
+                time.sleep(0.02)
+            time.sleep(0.3)  # well inside the job
+            os.kill(victim, signal.SIGKILL)
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+
+            reply = outcome["reply"]
+            assert reply["ok"], reply
+            # The retry, on a respawned worker, gives the exact serial
+            # answer.
+            assert reply["worker"]["attempt"] == 1
+            assert canonical_json(deterministic_body(reply["result"])) \
+                == canonical_json(serial_reference(spec))
+            stats = client.stats()
+            assert stats["jobs"]["retried"] == 1
+            assert stats["workers"]["respawned"] == 1
+            assert stats["workers"]["alive"] == 1
+
+
+@pytest.mark.slow
 def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
     """The leak check: kill the daemon while jobs are queued and
     running; nothing may survive — no processes carrying the daemon's
     command line, no socket file, no spool directory, no stray
     esp-serve tempdirs."""
-    import threading
-
     tempdir_before = {
         name for name in os.listdir(tempfile.gettempdir())
         if name.startswith("esp-serve-")
@@ -214,7 +270,7 @@ def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
     for i in range(12):
         source = protocol_source(2 + i % 2, 3)
         specs.append(JobSpec(source=source, quiescence_ok=False,
-                             store="disk" if i % 3 == 0 else "collapse",
+                             store="plain" if i % 3 == 0 else "collapse",
                              max_states=50_000 + i))
     with daemon_process(tmp_path, workers=2) as daemon:
         with ServeClient(daemon.socket) as client:

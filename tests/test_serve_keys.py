@@ -131,7 +131,6 @@ _KEY_CHANGING = [
 # must coalesce onto one key.
 _KEY_NEUTRAL = [
     {"store": "plain"},
-    {"store": "disk"},
     {"filename": "elsewhere.esp"},
 ]
 

@@ -61,12 +61,12 @@ def _corpus() -> list[JobSpec]:
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              reduce="por,sym"))
         specs.append(JobSpec(source=source, quiescence_ok=False,
-                             store="disk"))
+                             store="plain"))
     # Leg 3: chains with ok and violating verdicts at several sizes.
     for n in (2, 4, 6):
         specs.append(JobSpec(source=chain_source(n)))
         specs.append(JobSpec(source=chain_source(n, assert_bound=1)))
-    specs.append(JobSpec(source=chain_source(5), store="disk"))
+    specs.append(JobSpec(source=chain_source(5), store="plain"))
     return specs
 
 
@@ -155,9 +155,9 @@ def hypothesis_daemon(tmp_path_factory):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(esp_programs())
 def test_generated_programs_daemon_matches_serial(hypothesis_daemon, source):
-    # Store backend varies with the program so the disk store sees the
-    # generated corpus too (deterministic: keyed on the source hash).
-    store = "disk" if len(source) % 2 else "collapse"
+    # Store backend varies with the program so the plain store sees the
+    # generated corpus too (deterministic: keyed on the source length).
+    store = "plain" if len(source) % 2 else "collapse"
     spec = JobSpec(source=source, quiescence_ok=False, store=store)
     with ServeClient(hypothesis_daemon.socket) as client:
         reply = client.submit(spec, check=True)

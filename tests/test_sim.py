@@ -99,10 +99,12 @@ def test_nested_scheduling_from_events():
 
 
 def test_dispatch_mode_validation():
-    with pytest.raises(ValueError):
-        Simulator(dispatch="warp")
-    with pytest.raises(ValueError):
-        Simulator(dispatch="batched", batch_events=0)
+    # batch_events is the one dispatch setting: 1 (a predicate check
+    # before every event) by default, and it must be positive.
+    assert Simulator().batch_events == 1
+    for batch in (0, -3):
+        with pytest.raises(ValueError):
+            Simulator(batch_events=batch)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 7, 64])
@@ -110,7 +112,7 @@ def test_batched_identical_timestamps_fire_in_fifo_order(batch):
     # Regression (ISSUE 10 satellite): events at identical timestamps
     # must fire in insertion order regardless of how the batch
     # boundaries fall inside the timestamp bucket.
-    sim = Simulator(dispatch="batched", batch_events=batch)
+    sim = Simulator(batch_events=batch)
     order = []
     for tag in range(10):
         sim.schedule(3.0, order.append, tag)
@@ -125,7 +127,7 @@ def test_batched_run_until_stops_mid_bucket_and_resumes_in_order(batch):
     # Stopping inside a same-timestamp bucket must leave the remainder
     # pending (counted by pending()) and fire it in the original
     # insertion order on resume.
-    sim = Simulator(dispatch="batched", batch_events=batch)
+    sim = Simulator(batch_events=batch)
     order = []
     for tag in range(12):
         sim.schedule(4.0, order.append, tag)
@@ -140,7 +142,7 @@ def test_batched_run_until_stops_mid_bucket_and_resumes_in_order(batch):
 def test_batched_schedule_into_current_bucket_mid_batch():
     # An event handler scheduling at delay 0 appends to the in-flight
     # timestamp bucket; FIFO order must hold across the injection.
-    sim = Simulator(dispatch="batched", batch_events=4)
+    sim = Simulator(batch_events=4)
     order = []
 
     def first():
@@ -154,8 +156,8 @@ def test_batched_schedule_into_current_bucket_mid_batch():
 
 
 def test_batched_event_order_matches_per_event():
-    # The determinism contract: the two dispatch modes process the
-    # exact same event sequence; only predicate observation differs.
+    # The determinism contract: every batch size processes the exact
+    # same event sequence; only predicate observation differs.
     def workload(sim, log):
         def tick(n):
             log.append((sim.now, n))
@@ -167,10 +169,10 @@ def test_batched_event_order_matches_per_event():
         sim.schedule(1.0, tick, 0)
 
     log_pe, log_b = [], []
-    sim_pe = Simulator()
+    sim_pe = Simulator(batch_events=1)
     workload(sim_pe, log_pe)
     sim_pe.run_until(lambda: False)
-    sim_b = Simulator(dispatch="batched", batch_events=5)
+    sim_b = Simulator(batch_events=5)
     workload(sim_b, log_b)
     sim_b.run_until(lambda: False)
     assert log_pe == log_b
@@ -178,9 +180,9 @@ def test_batched_event_order_matches_per_event():
 
 
 def test_batched_run_until_clamps_clock_when_queue_drains():
-    # Parity with the per-event drained-queue clamp: an unsatisfied
-    # predicate advances the clock to the horizon.
-    sim = Simulator(dispatch="batched", batch_events=8)
+    # Same drained-queue clamp as with the default batch of 1: an
+    # unsatisfied predicate advances the clock to the horizon.
+    sim = Simulator(batch_events=8)
     sim.schedule(50.0, lambda: None)
     assert sim.run_until(lambda: False, until_us=100.0) is False
     assert sim.now == 100.0
@@ -191,7 +193,7 @@ def test_batched_converged_run_keeps_event_clock():
     # not the watchdog horizon (regression: the clamp ran before the
     # predicate check, so converged fabric runs reported the deadline
     # as their convergence time).
-    sim = Simulator(dispatch="batched", batch_events=64)
+    sim = Simulator(batch_events=64)
     done = []
     sim.schedule(50.0, done.append, 1)
     assert sim.run_until(lambda: bool(done), until_us=100_000.0) is True
@@ -199,14 +201,14 @@ def test_batched_converged_run_keeps_event_clock():
 
 
 def test_batched_watchdog_fires_on_drain():
-    sim = Simulator(dispatch="batched", batch_events=8)
+    sim = Simulator(batch_events=8)
     sim.schedule(50.0, lambda: None)
     assert sim.run_until(lambda: sim.now >= 100.0, until_us=100.0) is True
     assert sim.now == 100.0
 
 
 def test_batched_horizon_does_not_fire_future_events():
-    sim = Simulator(dispatch="batched", batch_events=8)
+    sim = Simulator(batch_events=8)
     fired = []
     sim.schedule(10.0, fired.append, "early")
     sim.schedule(200.0, fired.append, "late")
@@ -218,7 +220,7 @@ def test_batched_horizon_does_not_fire_future_events():
 
 
 def test_batched_max_events_budget():
-    sim = Simulator(dispatch="batched", batch_events=4)
+    sim = Simulator(batch_events=4)
 
     def requeue():
         sim.schedule(1.0, requeue)
@@ -226,6 +228,22 @@ def test_batched_max_events_budget():
     sim.schedule(1.0, requeue)
     with pytest.raises(RuntimeError):
         sim.run_until(lambda: False, max_events=100)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 128])
+def test_run_until_checks_predicate_after_last_budgeted_event(batch):
+    # The event budget raises only for a predicate still false after
+    # max_events events; one that first holds on the last of them is
+    # reported as reached, whatever the batch size.
+    sim = Simulator(batch_events=batch)
+
+    def requeue():
+        sim.schedule(1.0, requeue)
+
+    sim.schedule(1.0, requeue)
+    assert sim.run_until(lambda: sim.events_processed >= 100,
+                         max_events=100)
+    assert sim.events_processed == 100
 
 
 def test_pending_counts_across_buckets():
