@@ -103,14 +103,12 @@ class ProcessState:
 
     ``version`` is a dirty counter for the verifier's copy-on-write
     snapshots: every mutation path bumps it, and the cached snapshot
-    record (``_record``/``_record_version``) plus the cached canonical
-    encoding (``_canon``/``_canon_pending``) are valid exactly while it
+    record (``_record``/``_record_version``) is valid exactly while it
     stands still.  See :meth:`repro.runtime.machine.Machine.snapshot`.
     """
 
     __slots__ = ("proc", "pid", "pc", "frame", "status", "block", "wait_mask",
-                 "steps", "version", "_record", "_record_version", "_canon",
-                 "_canon_pending")
+                 "steps", "version", "_record", "_record_version")
 
     def __init__(self, proc: ir.IRProcess):
         if not proc.slots_resolved:
@@ -126,8 +124,6 @@ class ProcessState:
         self.version = 0
         self._record = None
         self._record_version = -1
-        self._canon = None
-        self._canon_pending = None
 
     def __repr__(self) -> str:
         return f"<{self.proc.name} pc={self.pc} {self.status.value}>"

@@ -25,10 +25,10 @@ Shutdown — whether by the ``shutdown`` op, SIGTERM, or SIGINT — must
 leave nothing behind: queued jobs are failed with ``shutting-down``,
 workers get a stop message then SIGTERM then SIGKILL (the escalation is
 bounded, so a wedged job cannot hang the exit), every worker process is
-``join``-ed (no zombies), the socket file is unlinked, and a spool
-directory the daemon created is removed.  Only an explicitly
-configured ``cache_dir`` survives, by design: it is the persistent tier
-of the result cache.
+``join``-ed (no zombies), the socket file is unlinked, and the
+directory the daemon made for its default socket is removed.  Only an
+explicitly configured ``cache_dir`` survives, by design: it is the
+persistent tier of the result cache.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ServeDaemon:
         socket_path: str | os.PathLike | None = None,
         workers: int = 2,
         cache_dir: str | os.PathLike | None = None,
-        spool_dir: str | os.PathLike | None = None,
         max_cache_entries: int = 1024,
         max_retries: int = 2,
     ):
@@ -100,12 +99,13 @@ class ServeDaemon:
             raise ValueError("workers must be >= 1")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError("espc serve requires fork-capable platform")
-        self._owns_spool = spool_dir is None
-        self.spool = str(spool_dir) if spool_dir is not None else \
-            tempfile.mkdtemp(prefix="esp-serve-")
-        os.makedirs(self.spool, exist_ok=True)
-        self.socket_path = str(socket_path) if socket_path is not None else \
-            os.path.join(self.spool, "daemon.sock")
+        # The default socket lives in a temporary directory of its own,
+        # removed at shutdown; a given socket path needs none.
+        self.spool = None
+        if socket_path is None:
+            self.spool = tempfile.mkdtemp(prefix="esp-serve-")
+            socket_path = os.path.join(self.spool, "daemon.sock")
+        self.socket_path = str(socket_path)
         self.workers_configured = workers
         self.max_retries = max_retries
         self.cache = ResultCache(cache_dir, max_entries=max_cache_entries)
@@ -440,7 +440,7 @@ class ServeDaemon:
             os.unlink(self.socket_path)
         except OSError:
             pass
-        if self._owns_spool:
+        if self.spool is not None:
             shutil.rmtree(self.spool, ignore_errors=True)
 
     # -- observability ------------------------------------------------------------

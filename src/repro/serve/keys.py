@@ -199,6 +199,23 @@ def normalize_reduce(reduce: str | None) -> str | None:
 # The visited-store backends a job may name.
 STORES = ("collapse", "plain")
 
+# JobSpec fields by the type their values must have.
+_TEXT_FIELDS = ("source", "filename", "store")
+_OPTIONAL_TEXT_FIELDS = ("process", "reduce")
+_BOUND_FIELDS = ("max_states", "max_depth", "max_objects", "env_budget")
+_FLAG_FIELDS = ("check_deadlock", "quiescence_ok")
+_INT_LIST_FIELDS = ("int_domain", "array_sizes")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` is no bound)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field_error(name: str, expected: str, value) -> ValueError:
+    return ValueError(f"job field {name!r} must be {expected}, "
+                      f"not {value!r}")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -226,6 +243,28 @@ class JobSpec:
     env_budget: int | None = None
 
     def __post_init__(self):
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise _field_error(name, "a string", value)
+        for name in _OPTIONAL_TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise _field_error(name, "a string or null", value)
+        for name in _BOUND_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise _field_error(name, "an integer or null", value)
+        for name in _FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise _field_error(name, "true or false", value)
+        for name in _INT_LIST_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, tuple)
+                    and all(_is_int(item) for item in value)):
+                raise _field_error(name, "a list of integers", value)
+        normalize_reduce(self.reduce)
         if self.store not in STORES:
             raise ValueError(
                 f"unknown visited store {self.store!r}; "
@@ -258,8 +297,8 @@ class JobSpec:
         if "source" not in body:
             raise ValueError("job is missing 'source'")
         kwargs = dict(body)
-        for name in ("int_domain", "array_sizes"):
-            if name in kwargs:
+        for name in _INT_LIST_FIELDS:
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 

@@ -163,6 +163,45 @@ def test_unknown_store_is_a_bad_request(tmp_path):
             assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
+def test_mistyped_job_fields_are_bad_requests(tmp_path):
+    # A field whose value has the wrong type is refused by name before
+    # any worker runs the job (a string bound used to reach the
+    # explorer and come back as an "internal" traceback), and the
+    # daemon keeps serving.
+    mistyped = {
+        "source": 5, "filename": None, "process": 7, "reduce": ["por"],
+        "store": 4, "max_states": "many", "max_depth": "deep",
+        "max_objects": True, "env_budget": 2.5, "check_deadlock": "yes",
+        "quiescence_ok": 1, "int_domain": ["0", "1"], "array_sizes": 3,
+    }
+    wire = JobSpec(source=OK_SOURCE).to_wire()
+    with daemon_process(tmp_path) as daemon:
+        with ServeClient(daemon.socket) as client:
+            for name, value in mistyped.items():
+                reply = client.submit(dict(wire, **{name: value}))
+                assert reply["ok"] is False, (name, reply)
+                assert reply["kind"] == "bad-request", (name, reply)
+                assert repr(name) in reply["error"], (name, reply["error"])
+            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
+
+
+def test_daemon_on_a_socket_path_makes_no_temp_dir(tmp_path, monkeypatch):
+    # Only the default socket needs a directory of the daemon's own.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+
+    def made():
+        return [n for n in os.listdir(scratch) if n.startswith("esp-serve-")]
+
+    with daemon_process(tmp_path, workers=1) as daemon:
+        with ServeClient(daemon.socket) as client:
+            assert client.stats()["spool"] is None
+            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
+            assert made() == []
+    assert made() == []
+
+
 def test_lex_and_nesting_errors_reply_as_compile_diagnostics(tmp_path):
     # A non-ASCII digit and too-deep nesting used to escape the front end
     # as ValueError / RecursionError and come back as "bad-request".
@@ -308,7 +347,7 @@ def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
         time.sleep(0.05)
     assert processes_matching(marker) == []
     assert not os.path.exists(daemon.socket)
-    assert not os.path.exists(spool)
+    assert spool is None or not os.path.exists(spool)
     tempdir_after = {
         name for name in os.listdir(tempfile.gettempdir())
         if name.startswith("esp-serve-")
