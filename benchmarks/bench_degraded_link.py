@@ -11,17 +11,13 @@ allow a small tolerance for scheduling luck), every run converges with
 exactly-once in-order delivery, and a lossy run really does retransmit.
 """
 
-import os
-
 import pytest
 
 from benchmarks.harness import Table
 from repro.vmmc.workloads import degraded_link_bandwidth
 
-_SMOKE = bool(os.environ.get("ESP_BENCH_SMOKE"))
-
 LOSS_RATES = [0.0, 0.01, 0.05, 0.10]
-MESSAGES = 40 if _SMOKE else 150
+MESSAGES = 150
 SIZE = 4096
 
 

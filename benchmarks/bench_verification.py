@@ -13,10 +13,6 @@ counters), plus seeded use-after-free / double-free / leak bugs that
 must each be caught.
 """
 
-import json
-import os
-import pathlib
-
 import pytest
 
 from benchmarks.harness import Table
@@ -30,8 +26,7 @@ from repro.vmmc.retransmission import (
     build_machine as build_retransmission_machine,
     protocol_source,
 )
-
-_SMOKE = bool(os.environ.get("ESP_BENCH_SMOKE"))
+from tests.test_transition_cache import relay_pipeline
 
 # Per-process verification plans: environment bounds per §5.3's remark
 # that abstraction keeps the search tractable.
@@ -168,77 +163,28 @@ def test_benchmark_biggest_process_verification(benchmark):
     )
 
 
-# -- serial throughput + regression gate ---------------------------------------
+# -- serial throughput regression gate -----------------------------------------
 #
 # The collapse-compressed, copy-on-write hot path is a performance
-# claim, so it gets a regression gate: every run writes its measured
-# throughput to BENCH_verify.json and fails if any model's states/sec
-# fell more than 30% below the committed baseline (generous because
-# container CPU time is noisy).  The seed-commit numbers are kept
-# inline for the honest before/after comparison in the table.
+# claim, so it gets a regression gate: every model must explore the
+# seed commit's state space (702f570) at no less than 70% of its
+# baseline states/sec (generous because container CPU time is noisy).
 
-
-def pipeline_source(stages: int, messages: int) -> str:
-    """A relay pipeline: ``source -> relay0 -> ... -> sink``.  State
-    count grows combinatorially with stages x messages while each
-    transition touches only two processes — the model family that
-    rewards (or exposes) copy-on-write snapshots."""
-    lines = []
-    for i in range(stages + 1):
-        lines.append(f"channel c{i}: int")
-    lines.append("")
-    lines.append("process source {")
-    for m in range(messages):
-        lines.append(f"    out( c0, {m});")
-    lines.append("}")
-    for i in range(stages):
-        lines.append(f"process relay{i} {{")
-        lines.append("    while (true) {")
-        lines.append(f"        in( c{i}, $x);")
-        lines.append(f"        out( c{i + 1}, x);")
-        lines.append("    }")
-        lines.append("}")
-    lines.append("process sink {")
-    lines.append("    $n = 0;")
-    lines.append(f"    while (n < {messages}) {{")
-    lines.append(f"        in( c{stages}, $v);")
-    lines.append("        n = n + 1;")
-    lines.append("    }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-_BENCH_PATH = pathlib.Path(__file__).with_name("BENCH_verify.json")
 _REGRESSION_TOLERANCE = 0.30
 
-# Serial-explorer throughput at the seed commit (702f570), measured on
-# this container: {states, transitions, states/sec, bytes/state}.  The
-# memory figure at the seed was an estimate (packed canonical-state
-# sizes); post-change it is the actual visited-store footprint.
-SEED_BASELINE = {
-    "retransmission w2m3": dict(states=873, transitions=2153,
-                                states_per_sec=3679, bytes_per_state=815.6),
-    "retransmission w3m4": dict(states=3013, transitions=7605,
-                                states_per_sec=3406, bytes_per_state=819.3),
-    "vmmc sm1": dict(states=5713, transitions=14422,
-                     states_per_sec=4974, bytes_per_state=605.1),
-    "pipeline s12m4": dict(states=1186, transitions=3308,
-                           states_per_sec=3174, bytes_per_state=1318.4),
-    "pipeline s32m4": dict(states=47501, transitions=166788,
-                           states_per_sec=1199, bytes_per_state=3138.0),
+# Per model: states and transitions at the seed commit, and the
+# baseline states/sec, measured on a shared 2-core host with the
+# transition cache in place.
+BASELINE = {
+    "retransmission w2m3": (873, 2153, 9713.0),
+    "retransmission w3m4": (3013, 7605, 8152.2),
+    "vmmc sm1": (5713, 14422, 4894.7),
+    "pipeline s12m4": (1186, 3308, 8050.6),
+    "pipeline s32m4": (47501, 166788, 6177.7),
 }
 
 
 def _throughput_models():
-    if _SMOKE:
-        return {
-            "retransmission w1m2": lambda: build_retransmission_machine(
-                protocol_source(1, 2)
-            ),
-            "pipeline s10m3": lambda: Machine(
-                compile_source(pipeline_source(10, 3))
-            ),
-        }
     front = frontend(VMMC_ESP_SOURCE)
     return {
         "retransmission w2m3": lambda: build_retransmission_machine(
@@ -251,183 +197,38 @@ def _throughput_models():
             front, "sm1", max_objects=24, **PLANS["sm1"]
         )[0],
         "pipeline s12m4": lambda: Machine(
-            compile_source(pipeline_source(12, 4))
+            compile_source(relay_pipeline(12, 4))
         ),
         "pipeline s32m4": lambda: Machine(
-            compile_source(pipeline_source(32, 4))
+            compile_source(relay_pipeline(32, 4))
         ),
     }
 
 
-def test_throughput_table_and_regression_gate():
-    mode = "smoke" if _SMOKE else "full"
-    committed = {}
-    if _BENCH_PATH.exists():
-        committed = json.loads(_BENCH_PATH.read_text())
-
+def test_throughput_regression_gate():
     table = Table(
         "Serial exploration throughput (collapse store + COW snapshots)",
         ["model", "states", "transitions", "time (s)", "states/s",
-         "B/state", "vs seed"],
+         "B/state", "vs baseline"],
     )
-    rows = {}
+    regressions = []
     for name, make in _throughput_models().items():
         result = Explorer(make(), stop_at_first=False).explore()
         assert result.ok and result.complete, (name, result.violations[:1])
-        rate = result.states / max(result.elapsed_seconds, 1e-9)
-        per_state = result.memory_bytes / max(result.states, 1)
-        seed = SEED_BASELINE.get(name)
-        if seed is not None:
-            # The state space itself must not have drifted.
-            assert (result.states, result.transitions) == \
-                (seed["states"], seed["transitions"]), name
-        speedup = (round(rate / seed["states_per_sec"], 2)
-                   if seed else None)
-        rows[name] = dict(
-            states=result.states,
-            transitions=result.transitions,
-            elapsed_seconds=round(result.elapsed_seconds, 3),
-            states_per_sec=round(rate, 1),
-            memory_bytes=result.memory_bytes,
-            bytes_per_state=round(per_state, 1),
-            speedup_vs_seed=speedup,
-        )
+        states, transitions, baseline = BASELINE[name]
+        # The state space itself must not have drifted.
+        assert (result.states, result.transitions) == (states, transitions), \
+            name
+        rate = result.states / result.elapsed_seconds
         table.add(name, result.states, result.transitions,
                   round(result.elapsed_seconds, 3), int(rate),
-                  round(per_state, 1),
-                  f"{speedup}x" if speedup else "-")
+                  round(result.memory_bytes / result.states, 1),
+                  f"{rate / baseline:.2f}x")
+        floor = baseline * (1.0 - _REGRESSION_TOLERANCE)
+        if rate < floor:
+            regressions.append(f"{name}: {rate:.0f} states/s < {floor:.0f} "
+                               f"(baseline {baseline:.0f})")
     table.note("paper: biggest process = 2,251 states, 0.5 s, 2.2 MB; "
                "B/state is the store's actual footprint")
-    if mode == "full":
-        table.note("seed baseline (commit 702f570): e.g. pipeline s32m4 at "
-                   "1199 states/s and 3138 B/state")
     table.show()
-
-    # Regenerate the artifact first so a gate failure still leaves the
-    # fresh numbers on disk for inspection.
-    merged = dict(committed)
-    merged[mode] = rows
-    _BENCH_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-    regressions = []
-    for name, row in rows.items():
-        old = committed.get(mode, {}).get(name)
-        if not old:
-            continue
-        floor = old["states_per_sec"] * (1.0 - _REGRESSION_TOLERANCE)
-        if row["states_per_sec"] < floor:
-            regressions.append(
-                f"{name}: {row['states_per_sec']:.0f} states/s < "
-                f"{floor:.0f} (baseline {old['states_per_sec']:.0f})"
-            )
     assert not regressions, "throughput regressed: " + "; ".join(regressions)
-
-
-# -- partial-order + symmetry reduction gate -----------------------------------
-#
-# The reduction layer's claim is exploring *fewer* states with the
-# *same* verdict, so its gate has two halves: the ≥10x state-count
-# ratio on the two models ROADMAP item 1 names (vmmc sm1, the
-# heap-heavy outlier, and the retransmission protocol), and a
-# regression gate on the reduced state count and bytes/state recorded
-# in BENCH_verify.json — a canonicalizer change that silently weakens
-# reduction (or bloats keys) fails here even when verdicts still agree.
-
-_REDUCTION_FACTOR = 10.0
-
-
-def _reduction_models():
-    """(machine factory, gated) pairs.  sm1 clears 10x even under the
-    smoke environment budget; the retransmission ratio grows with the
-    window, so the gated instance (w6m7) is full-mode-only and smoke
-    keeps an ungated small instance for verdict agreement."""
-    front = frontend(VMMC_ESP_SOURCE)
-    sm1_plan = dict(PLANS["sm1"])
-    if _SMOKE:
-        sm1_plan["env_budget"] = 2
-    models = {
-        "vmmc sm1": (
-            lambda: build_isolated_machine(
-                front, "sm1", max_objects=24, **sm1_plan
-            )[0],
-            True,
-        ),
-    }
-    if _SMOKE:
-        models["retransmission w2m3"] = (
-            lambda: build_retransmission_machine(protocol_source(2, 3)),
-            False,
-        )
-    else:
-        models["retransmission w6m7"] = (
-            lambda: build_retransmission_machine(protocol_source(6, 7)),
-            True,
-        )
-    return models
-
-
-def test_reduction_table_and_state_gate():
-    mode = ("smoke" if _SMOKE else "full") + "-reduced"
-    committed = {}
-    if _BENCH_PATH.exists():
-        committed = json.loads(_BENCH_PATH.read_text())
-
-    table = Table(
-        "Partial-order + symmetry reduction (--reduce=por,sym)",
-        ["model", "plain states", "reduced states", "ratio",
-         "expanded", "pruned", "B/state", "verdicts"],
-    )
-    rows = {}
-    for name, (make, gated) in _reduction_models().items():
-        plain = Explorer(make(), stop_at_first=False).explore()
-        reduced = Explorer(make(), stop_at_first=False,
-                           reduce="por,sym").explore()
-        # Verdict equivalence is the soundness contract.
-        assert plain.ok == reduced.ok, name
-        assert ({v.kind for v in plain.violations}
-                == {v.kind for v in reduced.violations}), name
-        ratio = plain.states / max(reduced.states, 1)
-        per_state = reduced.memory_bytes / max(reduced.states, 1)
-        rows[name] = dict(
-            states_plain=plain.states,
-            states_reduced=reduced.states,
-            ratio=round(ratio, 1),
-            transitions_expanded=reduced.transitions,
-            transitions_pruned=reduced.transitions_pruned,
-            bytes_per_state=round(per_state, 1),
-        )
-        table.add(name, plain.states, reduced.states,
-                  f"{ratio:.1f}x", reduced.transitions,
-                  reduced.transitions_pruned, round(per_state, 1),
-                  "agree" if plain.ok == reduced.ok else "DIVERGE")
-        if gated:
-            assert ratio >= _REDUCTION_FACTOR, (
-                f"{name}: reduction ratio {ratio:.1f}x below the "
-                f"{_REDUCTION_FACTOR}x gate "
-                f"({plain.states} -> {reduced.states} states)"
-            )
-    table.note("gate: >=10x fewer stored states on vmmc sm1 "
-               + ("(smoke)" if _SMOKE else "and retransmission w6m7")
-               + " with identical verdicts")
-    table.show()
-
-    merged = dict(committed)
-    merged[mode] = rows
-    _BENCH_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-    drifts = []
-    for name, row in rows.items():
-        old = committed.get(mode, {}).get(name)
-        if not old:
-            continue
-        if row["states_reduced"] > old["states_reduced"] * 1.05:
-            drifts.append(
-                f"{name}: {row['states_reduced']} reduced states > "
-                f"committed {old['states_reduced']} (+5%)"
-            )
-        if row["bytes_per_state"] > old["bytes_per_state"] * 1.25:
-            drifts.append(
-                f"{name}: {row['bytes_per_state']} B/state > "
-                f"committed {old['bytes_per_state']} (+25%)"
-            )
-    assert not drifts, "reduction effectiveness regressed: " + "; ".join(drifts)

@@ -60,10 +60,6 @@ def find_cc() -> str | None:
     return None
 
 
-def native_available() -> bool:
-    return find_cc() is not None
-
-
 def require_cc() -> str:
     cc = find_cc()
     if cc is None:

@@ -914,13 +914,6 @@ class CCodegen:
         out.emit("}")
         out.emit("")
 
-    def _blocking_sites(self):
-        """(proc, pc, state, instr) for every blocking instruction."""
-        for proc in self.program.processes:
-            states = {pc: i + 1 for i, pc in enumerate(proc.state_points())}
-            for pc, state in states.items():
-                yield proc, pc, state, proc.instrs[pc]
-
     def _gen_out_slots(self) -> None:
         out = self.out
         out.emit("/* out-slot enumeration: slot = -1 for a plain out, or the")

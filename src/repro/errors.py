@@ -68,11 +68,3 @@ class AssertionFailure(ESPRuntimeError):
 class DeadlockError(ESPRuntimeError):
     """All processes blocked with no external event able to unblock them."""
 
-
-class VerificationError(ESPError):
-    """Raised when the verifier finds a property violation; carries the
-    counterexample trace if one was produced."""
-
-    def __init__(self, message: str, trace=None, span=None):
-        super().__init__(message, span)
-        self.trace = trace

@@ -226,12 +226,6 @@ class PatternAnalysis:
     ports: dict[str, list[Port]]
     coverage: dict[str, Coverage]
 
-    def port_for(self, channel: str, shape: Shape) -> Port:
-        for port in self.ports[channel]:
-            if port.shape == shape:
-                return port
-        raise KeyError((channel, str(shape)))
-
 
 def analyze(checked: CheckedProgram, require_exhaustive: bool = True) -> PatternAnalysis:
     """Run the full pattern analysis over a type-checked program.

@@ -24,7 +24,7 @@ include environment state in the explored state vector.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class ExternalWriter:
@@ -98,10 +98,6 @@ class QueueWriter(ExternalWriter):
         if entry_name not in self.entries:
             raise ValueError(f"unknown interface entry '{entry_name}'")
         self.queue.append((entry_name, tuple(args)))
-
-    def post_many(self, items: Iterable[tuple]) -> None:
-        for entry_name, *args in items:
-            self.post(entry_name, *args)
 
     def is_ready(self) -> int:
         if not self.queue:

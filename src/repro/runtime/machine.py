@@ -711,9 +711,6 @@ class Machine:
 
     # -- status ---------------------------------------------------------------------
 
-    def all_blocked_or_done(self) -> bool:
-        return all(ps.status is not Status.READY for ps in self.processes)
-
     def all_done(self) -> bool:
         return self._ndone == len(self.processes)
 

@@ -54,7 +54,3 @@ class DMAEngine:
         self.bytes_moved += nbytes
         self.sim.at(done, on_done, *args)
         return done
-
-    def utilisation_window(self) -> float:
-        """Busy time remaining from now (for fast-path style checks)."""
-        return max(0.0, self.busy_until - self.sim.now)

@@ -55,6 +55,3 @@ class Host:
         harness checks for exactly-once, in-order delivery."""
         return [n[key] for n in self.notifications
                 if isinstance(n, dict) and key in n]
-
-    def clear_notifications(self) -> None:
-        self.notifications.clear()

@@ -55,10 +55,6 @@ class FirmwareBase:
         """Process ``inputs``; return (cycles consumed, actions)."""
         raise NotImplementedError
 
-    def idle_cycles(self) -> float:
-        """Cycles burned when the firmware is kicked with nothing to do."""
-        return 0.0
-
 
 @dataclass
 class NICStats:

@@ -75,9 +75,6 @@ class CostModel:
     window_size: int = 8
     packet_header_bytes: int = 16
 
-    def us_per_cycle(self) -> float:
-        return 1.0 / self.cpu_mhz
-
     def cycles_to_us(self, cycles: float) -> float:
         return cycles / self.cpu_mhz
 
@@ -86,9 +83,6 @@ class CostModel:
 
     def host_dma_us(self, nbytes: int) -> float:
         return self.dma_time_us(nbytes, self.host_dma_startup_us, self.host_dma_mb_s)
-
-    def net_dma_us(self, nbytes: int) -> float:
-        return self.dma_time_us(nbytes, self.net_dma_startup_us, self.net_dma_mb_s)
 
     def wire_time_us(self, nbytes: int) -> float:
         return self.wire_latency_us + nbytes / self.wire_mb_s

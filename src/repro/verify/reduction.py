@@ -387,14 +387,6 @@ class Reducer:
 
     # -- move identity / independence ---------------------------------------------
 
-    @staticmethod
-    def move_pids(move) -> tuple[int, ...]:
-        if isinstance(move, Rendezvous):
-            return (move.sender_pid, move.receiver_pid)
-        if isinstance(move, ExternalDeliver):
-            return (move.receiver_pid,)
-        return (move.sender_pid,)
-
     def move_info(self, move) -> tuple:
         """``(identity, pids, stateful-external channel or None)`` —
         everything independence needs, precomputed once per move."""

@@ -58,13 +58,20 @@ def test_submit_matches_serial_verify(tmp_path):
 
 
 def test_cache_hit_on_resubmission(tmp_path):
+    # Hundreds of states the first time; the cached answer costs O(1),
+    # well under 100 ms, however much the first search explored.
+    spec = JobSpec(source=protocol_source(2, 3), quiescence_ok=False)
     with daemon_process(tmp_path) as daemon:
         with ServeClient(daemon.socket) as client:
-            first = client.submit(JobSpec(source=OK_SOURCE), check=True)
+            first = client.submit(spec, check=True)
             assert first["cached"] is False
+            assert first["result"]["states"] > 100
             before = client.stats()["states"]["explored"]
-            second = client.submit(JobSpec(source=OK_SOURCE), check=True)
+            start = time.perf_counter()
+            second = client.submit(spec, check=True)
+            elapsed = time.perf_counter() - start
             assert second["cached"] is True
+            assert elapsed < 0.100, f"cached answer took {elapsed:.3f} s"
             assert second["key"] == first["key"]
             # Byte-identical body, and no exploration happened for it.
             assert canonical_json(second["result"]) \

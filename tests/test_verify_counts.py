@@ -13,6 +13,9 @@ store's in-memory form, not the search.
 The collapse-vs-plain store test compares two stores that share one
 state encoding, so an encoding that merged distinct states would pass
 it; this file catches that, because merged states change the counts.
+It also holds the reduction gates: ``por,sym`` stores >= 10x fewer
+states than the plain search on ``sm1`` and on retransmission w6m7,
+within a bytes/state ceiling.
 
 Regenerating (only after an intentional change to what the verifier
 explores, never to follow a change in the state encoding):
@@ -74,6 +77,17 @@ SEEDED_BUGS = {
 RETRANS_SIZES = ((1, 2), (2, 2), (2, 3), (3, 4))
 REDUCTIONS = ("plain", "por", "sym", "por,sym")
 BITSTATE_SIZES = ((2, 2), (2, 3))
+
+# The reduction gates: ``por,sym`` stores at least 10x fewer states
+# than the plain search on sm1 and on retransmission w6m7, and its
+# store's bytes/state stays within 1.25x of what it was when the gates
+# were set (657.6 on sm1, 131.6 on w6m7), so a canonicalizer change
+# that bloats the keys fails even when the counts hold.
+REDUCTION_FACTOR = 10.0
+BYTES_PER_STATE_CEILING = {
+    "vmmc sm1 por,sym": 1.25 * 657.6,
+    "retrans w6m7 por,sym": 1.25 * 131.6,
+}
 
 
 def _vmmc_machine(process: str, source: str = VMMC_ESP_SOURCE,
@@ -149,9 +163,16 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def _bytes_per_state(result) -> float:
+    return result.memory_bytes / result.states
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_matches_golden(name):
-    assert _record(RUNS[name]()) == _golden()[name]
+    result = RUNS[name]()
+    assert _record(result) == _golden()[name]
+    if name in BYTES_PER_STATE_CEILING:
+        assert _bytes_per_state(result) <= BYTES_PER_STATE_CEILING[name]
 
 
 def test_golden_covers_every_run_and_pins_the_corpus_counts():
@@ -165,6 +186,23 @@ def test_golden_covers_every_run_and_pins_the_corpus_counts():
     for bug in SEEDED_BUGS:
         assert {v["kind"] for v in data[f"vmmc sm1 {bug}"]["violations"]} \
             == {"memory"}
+    assert data["vmmc sm1 plain"]["states"] \
+        >= REDUCTION_FACTOR * data["vmmc sm1 por,sym"]["states"]
+
+
+def test_reduction_gate_on_retransmission_w6m7():
+    # The retransmission ratio grows with the window: 4.3x at w2m3,
+    # 11.9x at w6m7.
+    plain = _explore(_retrans_machine(6, 7), "plain")
+    reduced = _explore(_retrans_machine(6, 7), "por,sym")
+    assert plain.ok and plain.complete
+    assert reduced.ok and reduced.complete
+    assert plain.states == 33877
+    assert (reduced.states, reduced.transitions,
+            reduced.transitions_pruned) == (2856, 10231, 8276)
+    assert plain.states >= REDUCTION_FACTOR * reduced.states
+    assert _bytes_per_state(reduced) \
+        <= BYTES_PER_STATE_CEILING["retrans w6m7 por,sym"]
 
 
 if __name__ == "__main__":  # regeneration entry point (see docstring)
