@@ -22,7 +22,6 @@ from repro.runtime import (
     Scheduler,
     create_machine,
     create_scheduler,
-    run_program,
 )
 
 __version__ = "1.0.0"
@@ -35,7 +34,6 @@ __all__ = [
     "Scheduler",
     "create_machine",
     "create_scheduler",
-    "run_program",
     "QueueWriter",
     "CollectorReader",
     "__version__",

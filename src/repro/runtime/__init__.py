@@ -20,7 +20,6 @@ from repro.runtime.scheduler import (
     RunResult,
     Scheduler,
     create_scheduler,
-    run_program,
 )
 from repro.runtime.values import HeapObject, Ref
 
@@ -30,7 +29,6 @@ __all__ = [
     "create_machine",
     "create_scheduler",
     "RunResult",
-    "run_program",
     "Heap",
     "HeapObject",
     "Ref",

@@ -27,7 +27,6 @@ Pattern work goes through the engine's *boundary*
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 
 from repro.errors import ESPRuntimeError
@@ -224,20 +223,10 @@ ENGINES = ("compiled", "ast")
 ALL_ENGINES = ("compiled", "ast", "native")
 
 
-def _resolve_engine(engine: str | None) -> str:
-    if engine is None:
-        engine = os.environ.get("ESP_ENGINE") or ENGINES[0]
-    if engine == "native":
-        raise ValueError(
-            "the native engine runs through a different machine class; "
-            "construct it with repro.runtime.machine.create_machine "
-            "(or the --engine flag), not Machine(engine='native')"
-        )
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ALL_ENGINES}"
-        )
-    return engine
+#: The engine a machine runs on when its caller names none: a Python
+#: engine, so a missing C compiler only surfaces on an explicit
+#: request.
+DEFAULT_ENGINE = "compiled"
 
 
 def create_machine(
@@ -251,21 +240,16 @@ def create_machine(
     :class:`Machine`, ``native`` builds a
     :class:`repro.runtime.native.NativeMachine` (compiling the
     generated C on first use — imported lazily so the Python engines
-    never touch the toolchain).  ``engine=None`` consults
-    ``ESP_ENGINE`` and falls back to the default; auto-selection never
-    silently picks native."""
+    never touch the toolchain).  ``engine=None`` means
+    :data:`DEFAULT_ENGINE`."""
     if engine is None:
-        engine = os.environ.get("ESP_ENGINE") or ENGINES[0]
+        engine = DEFAULT_ENGINE
     if engine == "native":
         from repro.runtime.native import NativeMachine
 
         return NativeMachine(program, externals=externals,
                              max_objects=max_objects,
                              print_handler=print_handler)
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ALL_ENGINES}"
-        )
     return Machine(program, externals=externals, max_objects=max_objects,
                    print_handler=print_handler, engine=engine)
 
@@ -285,7 +269,19 @@ class Machine:
         self.externals = dict(externals or {})
         self.max_objects = max_objects
         self.print_handler = print_handler
-        self.engine = _resolve_engine(engine)
+        if engine is None:
+            engine = DEFAULT_ENGINE
+        if engine == "native":
+            raise ValueError(
+                "the native engine runs through a different machine class; "
+                "construct it with repro.runtime.machine.create_machine "
+                "(or the --engine flag), not Machine(engine='native')"
+            )
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; expected one of {ALL_ENGINES}"
+            )
+        self.engine = engine
         if self.engine == "ast":
             self._stepper = run_until_block
             self._boundary = ReferenceBoundary(program)

@@ -133,17 +133,3 @@ def create_scheduler(machine, policy: str = "stack", seed: int = 0):
         return NativeScheduler(machine, policy=policy, seed=seed)
     return Scheduler(machine, policy=policy, seed=seed)
 
-
-def run_program(
-    program,
-    externals=None,
-    max_transfers: int | None = 100_000,
-    policy: str = "stack",
-    seed: int = 0,
-    max_objects: int | None = None,
-) -> tuple[Machine, RunResult]:
-    """Build a machine for ``program``, run it, return (machine, result)."""
-    machine = Machine(program, externals=externals, max_objects=max_objects)
-    scheduler = Scheduler(machine, policy=policy, seed=seed)
-    result = scheduler.run(max_transfers=max_transfers)
-    return machine, result

@@ -202,7 +202,9 @@ STORES = ("collapse", "plain")
 # JobSpec fields by the type their values must have.
 _TEXT_FIELDS = ("source", "filename", "store")
 _OPTIONAL_TEXT_FIELDS = ("process", "reduce")
-_BOUND_FIELDS = ("max_states", "max_depth", "max_objects", "env_budget")
+# Bound fields by their least meaningful value (null lifts the bound).
+_BOUND_FIELDS = {"max_states": 1, "max_depth": 0, "max_objects": 0,
+                 "env_budget": 0}
 _FLAG_FIELDS = ("check_deadlock", "quiescence_ok")
 _INT_LIST_FIELDS = ("int_domain", "array_sizes")
 
@@ -251,19 +253,24 @@ class JobSpec:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise _field_error(name, "a string or null", value)
-        for name in _BOUND_FIELDS:
+        for name, least in _BOUND_FIELDS.items():
             value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise _field_error(name, "an integer or null", value)
+            if value is not None and not (_is_int(value) and value >= least):
+                raise _field_error(name, f"an integer >= {least} or null",
+                                   value)
         for name in _FLAG_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise _field_error(name, "true or false", value)
         for name in _INT_LIST_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, tuple)
+            if not (isinstance(value, tuple) and value
                     and all(_is_int(item) for item in value)):
-                raise _field_error(name, "a list of integers", value)
+                raise _field_error(name, "a non-empty list of integers",
+                                   value)
+        if min(self.array_sizes) < 0:
+            raise _field_error("array_sizes", "a list of sizes >= 0",
+                               self.array_sizes)
         normalize_reduce(self.reduce)
         if self.store not in STORES:
             raise ValueError(

@@ -209,7 +209,8 @@ class FabricNodeFirmware(FirmwareBase):
     def __init__(self, cost: CostModel, node_id: int,
                  peers: dict[int, tuple[int, float]],
                  window: int = 8, variant: str = "correct",
-                 chunk_bytes: int = 1024, timeout_us: float = 150.0):
+                 chunk_bytes: int = 1024, timeout_us: float = 150.0,
+                 engine: str | None = None):
         self.cost = cost
         self.node_id = node_id
         self.name = f"fabric-node[{variant}]"
@@ -220,7 +221,7 @@ class FabricNodeFirmware(FirmwareBase):
             self.endpoints[peer] = RetransFirmware(
                 cost, node_id, messages=messages, window=window,
                 variant=variant, chunk_bytes=chunk_bytes,
-                timeout_us=timeout_us, peer=peer,
+                timeout_us=timeout_us, peer=peer, engine=engine,
             )
             self.start_us[peer] = start_us
         self.stray_packets = 0
@@ -384,9 +385,11 @@ class FabricReport:
 
 def run_fabric(config: FabricConfig, plan: FaultPlan | None = None,
                cost: CostModel | None = None,
-               max_events: int = 50_000_000) -> FabricReport:
-    """Run one fabric scenario end-to-end; the N=2 ``pairwise`` case
-    degenerates to the legacy point-to-point wire harness."""
+               max_events: int = 50_000_000,
+               engine: str | None = None) -> FabricReport:
+    """Run one fabric scenario end-to-end, every endpoint on ``engine``;
+    the N=2 ``pairwise`` case degenerates to the legacy point-to-point
+    wire harness."""
     cost = cost or CostModel()
     flows = sorted(build_flows(config), key=lambda f: (f.src, f.dst))
     sim = Simulator(batch_events=config.batch_events)
@@ -412,7 +415,7 @@ def run_fabric(config: FabricConfig, plan: FaultPlan | None = None,
         firmware = FabricNodeFirmware(
             cost, node, peers[node], window=config.window,
             variant=config.variant, chunk_bytes=config.chunk_bytes,
-            timeout_us=config.timeout_us,
+            timeout_us=config.timeout_us, engine=engine,
         )
         nic = NIC(sim, cost, node, firmware, faults=session)
         nic.wire = network

@@ -30,8 +30,6 @@ as ``espc verify`` would have.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 
 from repro.lang.source import SourceFile
@@ -53,8 +51,13 @@ _SOURCES: dict[str, str] = {}
 
 
 def _read(path: str) -> str:
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as err:
+        raise ESPError(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ESPError(f"cannot read {path}: {err}") from err
     _SOURCES[path] = text
     return text
 
@@ -91,92 +94,50 @@ def cmd_emit_spin(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _select_engine(args):
-    """Make ``--engine`` reach every machine the command constructs.
-
-    Some commands build machines deep inside library code (the sim
-    firmware, the per-process memory-safety harness); rather than
-    thread a parameter through each layer, the flag is exported as
-    ``ESP_ENGINE``, which the machine factory consults when no explicit
-    engine is passed — and which forked verifier workers inherit.  The
-    variable is scoped to the command: on exit the previous value (or
-    absence) is restored, so one ``espc`` invocation used as a library
-    call cannot permanently flip the engine for the whole process.
-    """
-    engine = getattr(args, "engine", None)
-    if not engine:
-        yield
-        return
-    previous = os.environ.get("ESP_ENGINE")
-    os.environ["ESP_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("ESP_ENGINE", None)
-        else:
-            os.environ["ESP_ENGINE"] = previous
-
-
-def _check_engine_env() -> None:
-    """Reject an unknown ``ESP_ENGINE`` with a one-line diagnostic
-    before it surfaces as a deep ValueError inside library code."""
-    engine = os.environ.get("ESP_ENGINE")
-    if engine and engine not in ALL_ENGINES:
-        raise ESPError(
-            f"unknown ESP_ENGINE value {engine!r}; expected one of "
-            f"{', '.join(ALL_ENGINES)}"
-        )
-
-
 def cmd_run(args) -> int:
-    with _select_engine(args):
-        _check_engine_env()
-        program, _stats, _front = compile_source_with_stats(
-            _read(args.file), args.file
-        )
-        machine = create_machine(
-            program, engine=args.engine,
-            print_handler=lambda name, values: print(f"{name}:", *values),
-        )
-        result = create_scheduler(machine, policy=args.policy).run(
-            max_transfers=args.max_transfers
-        )
+    program, _stats, _front = compile_source_with_stats(
+        _read(args.file), args.file
+    )
+    machine = create_machine(
+        program, engine=args.engine,
+        print_handler=lambda name, values: print(f"{name}:", *values),
+    )
+    result = create_scheduler(machine, policy=args.policy).run(
+        max_transfers=args.max_transfers
+    )
     print(f"[{result.reason}] {result.transfers} transfer(s), "
           f"{result.instructions} instruction(s)")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if (args.engine or os.environ.get("ESP_ENGINE")) == "native":
+    if args.engine == "native":
         raise ESPError(
             "the native engine does not support verification "
             "(no snapshot/restore); use --engine compiled"
         )
-    with _select_engine(args):
-        _check_engine_env()
-        reduce = None if args.reduce in (None, "none") else args.reduce
-        if args.process:
-            report = verify_process(_read(args.file), args.process,
-                                    max_states=args.max_states, reduce=reduce)
-            print(report.summary())
-            ok = report.ok
-            result = report.result
-            violations = result.violations
-        else:
-            program, _stats, _front = compile_source_with_stats(
-                _read(args.file), args.file
-            )
-            machine = Machine(
-                program, externals=default_verification_bridges(program),
-                engine=args.engine,
-            )
-            result = Explorer(machine, max_states=args.max_states,
-                              reduce=reduce).explore()
-            print(result.summary())
-            ok = result.ok
-            violations = result.violations
+    reduce = None if args.reduce in (None, "none") else args.reduce
+    if args.process:
+        report = verify_process(_read(args.file), args.process,
+                                max_states=args.max_states, reduce=reduce,
+                                engine=args.engine)
+        print(report.summary())
+        ok = report.ok
+        result = report.result
+        violations = result.violations
+    else:
+        program, _stats, _front = compile_source_with_stats(
+            _read(args.file), args.file
+        )
+        machine = Machine(
+            program, externals=default_verification_bridges(program),
+            engine=args.engine,
+        )
+        result = Explorer(machine, max_states=args.max_states,
+                          reduce=reduce).explore()
+        print(result.summary())
+        ok = result.ok
+        violations = result.violations
     for violation in violations:
         print(violation)
     if args.stats_json:
@@ -222,51 +183,50 @@ def cmd_sim(args) -> int:
             print(f"espc: error: {err}", file=sys.stderr)
             return 2
     fabric = args.topology is not None or args.scenario is not None
-    with _select_engine(args):
-        _check_engine_env()
-        if fabric:
-            from repro.sim.fabric import FabricConfig, run_fabric
-            from repro.sim.switch import SwitchConfig
+    if fabric:
+        from repro.sim.fabric import FabricConfig, run_fabric
+        from repro.sim.switch import SwitchConfig
 
-            try:
-                config = FabricConfig(
-                    nodes=args.topology if args.topology is not None else 2,
-                    scenario=args.scenario or "pairwise",
-                    # Fabric scenarios multiply the message count by the
-                    # flow count, so the per-flow default is small.
-                    messages=args.messages if args.messages is not None else 8,
-                    messages_back=(args.messages or 8)
-                    if args.bidirectional else 0,
-                    seed=args.seed,
-                    window=args.window,
-                    chunk_bytes=args.chunk_bytes,
-                    timeout_us=args.timeout_us,
-                    deadline_us=args.deadline_us,
-                    batch_events=args.batch_events,
-                    switch=SwitchConfig(
-                        port_mb_s=args.port_mb_s,
-                        buffer_bytes=args.buffer_bytes
-                        if args.buffer_bytes is not None else 262_144,
-                        port_cap_bytes=args.port_cap_bytes,
-                    ),
-                )
-            except ValueError as err:
-                print(f"espc: error: {err}", file=sys.stderr)
-                return 2
-            report = run_fabric(config, plan=plan)
-        else:
-            from repro.vmmc.retransmission import run_over_faulty_link
-
-            messages = args.messages if args.messages is not None else 200
-            report = run_over_faulty_link(
-                messages=messages,
-                messages_back=messages if args.bidirectional else 0,
-                plan=plan,
+        try:
+            config = FabricConfig(
+                nodes=args.topology if args.topology is not None else 2,
+                scenario=args.scenario or "pairwise",
+                # Fabric scenarios multiply the message count by the
+                # flow count, so the per-flow default is small.
+                messages=args.messages if args.messages is not None else 8,
+                messages_back=(args.messages or 8)
+                if args.bidirectional else 0,
+                seed=args.seed,
                 window=args.window,
                 chunk_bytes=args.chunk_bytes,
                 timeout_us=args.timeout_us,
                 deadline_us=args.deadline_us,
+                batch_events=args.batch_events,
+                switch=SwitchConfig(
+                    port_mb_s=args.port_mb_s,
+                    buffer_bytes=args.buffer_bytes
+                    if args.buffer_bytes is not None else 262_144,
+                    port_cap_bytes=args.port_cap_bytes,
+                ),
             )
+        except ValueError as err:
+            print(f"espc: error: {err}", file=sys.stderr)
+            return 2
+        report = run_fabric(config, plan=plan, engine=args.engine)
+    else:
+        from repro.vmmc.retransmission import run_over_faulty_link
+
+        messages = args.messages if args.messages is not None else 200
+        report = run_over_faulty_link(
+            messages=messages,
+            messages_back=messages if args.bidirectional else 0,
+            plan=plan,
+            window=args.window,
+            chunk_bytes=args.chunk_bytes,
+            timeout_us=args.timeout_us,
+            deadline_us=args.deadline_us,
+            engine=args.engine,
+        )
     ok = report.converged and report.exactly_once_in_order()
     if args.stats_json:
         import json
@@ -331,21 +291,20 @@ def cmd_submit(args) -> int:
         print("espc: error: submit needs a file (or --shutdown)",
               file=sys.stderr)
         return 2
+    spec = None
+    if args.file is not None:
+        spec = JobSpec(
+            source=_read(args.file),
+            filename=args.file,
+            process=args.process,
+            max_states=args.max_states,
+            max_depth=args.max_depth,
+            reduce=None if args.reduce in (None, "none") else args.reduce,
+            store=args.store,
+        )
     try:
         with ServeClient(args.socket, timeout=args.timeout) as client:
-            reply = None
-            if args.file is not None:
-                spec = JobSpec(
-                    source=_read(args.file),
-                    filename=args.file,
-                    process=args.process,
-                    max_states=args.max_states,
-                    max_depth=args.max_depth,
-                    reduce=None if args.reduce in (None, "none")
-                    else args.reduce,
-                    store=args.store,
-                )
-                reply = client.submit(spec)
+            reply = None if spec is None else client.submit(spec)
             server_stats = client.stats() if args.stats_json else None
             if args.shutdown:
                 client.shutdown()
@@ -429,6 +388,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="espc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-spin", help="generate the Promela model")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--instances", type=int, default=1)
+    p.add_argument("--instances", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_emit_spin)
 
     p = sub.add_parser("run", help="execute through the interpreter")
@@ -459,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="model-check the program")
     p.add_argument("file")
     p.add_argument("--process", help="verify one process's memory safety")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
     p.add_argument(
         "--reduce", choices=("por", "sym", "por,sym", "none"), default=None,
         help="state-space reduction: partial-order (ample sets + "
@@ -568,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default="./esp-serve.sock",
                    help="daemon socket (default ./esp-serve.sock)")
     p.add_argument("--process", help="verify one process's memory safety")
-    p.add_argument("--max-states", type=int, default=200_000)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
+    p.add_argument("--max-depth", type=_non_negative_int, default=None)
     p.add_argument("--reduce", choices=("por", "sym", "por,sym", "none"),
                    default=None)
     p.add_argument(

@@ -152,6 +152,7 @@ def build_isolated_machine(
     max_objects: int | None = 24,
     opt_level: OptLevel = OptLevel.FULL,
     env_budget: int | None = None,
+    engine: str | None = None,
 ) -> tuple[Machine, MemSafetyReport]:
     """Isolate, compile, and wire up the environment for one process.
 
@@ -196,7 +197,8 @@ def build_isolated_machine(
             externals[channel] = SinkReader(list(info.pattern_names))
             sink_channels.append(channel)
 
-    machine = Machine(program, externals=externals, max_objects=max_objects)
+    machine = Machine(program, externals=externals, max_objects=max_objects,
+                      engine=engine)
     report = MemSafetyReport(
         process=process_name,
         result=ExploreResult(),
@@ -217,16 +219,19 @@ def verify_process(
     opt_level: OptLevel = OptLevel.FULL,
     env_budget: int | None = None,
     reduce: str | None = None,
+    engine: str | None = None,
 ) -> MemSafetyReport:
     """Exhaustively verify the memory safety of one process (§5.3);
     pass ``env_budget`` to bound the environment for processes whose
     counters grow without bound.  ``reduce`` selects the reduction
     modes (``"por"``, ``"sym"``, ``"por,sym"``) of
-    :mod:`repro.verify.reduction`."""
+    :mod:`repro.verify.reduction`, and ``engine`` the Python engine the
+    search runs on."""
     front = frontend(source) if isinstance(source, str) else source
     machine, report = build_isolated_machine(
         front, process_name, int_domain, array_sizes,
         max_objects=max_objects, opt_level=opt_level, env_budget=env_budget,
+        engine=engine,
     )
     report.result = Explorer(
         machine, max_states=max_states, reduce=reduce

@@ -238,11 +238,10 @@ class EspMachineFirmware(FirmwareBase):
         self.counter = CycleCounter()
         self._actions: list[FirmwareAction] = []
 
-    def _attach_machine(self, program: IRProgram, externals: dict) -> None:
-        # Factory-constructed so ESP_ENGINE (including "native") selects
-        # the engine the firmware runs on — espc sim threads --engine
-        # through exactly this path.
-        self.machine = create_machine(program, externals=externals)
+    def _attach_machine(self, program: IRProgram, externals: dict,
+                        engine: str | None = None) -> None:
+        self.machine = create_machine(program, externals=externals,
+                                      engine=engine)
         self.scheduler = create_scheduler(self.machine, policy="stack")
         self._baseline_counts = self._counts()
 

@@ -311,7 +311,7 @@ class RetransFirmware(EspMachineFirmware):
                  window: int = 8, variant: str = "correct",
                  chunk_bytes: int = 1024, timeout_us: float = 150.0,
                  timeout_max_us: float = 2400.0, backoff: float = 2.0,
-                 peer: int | None = None):
+                 peer: int | None = None, engine: str | None = None):
         super().__init__(cost, node_id)
         self.name = f"retrans[{variant}]"
         self.messages = messages
@@ -348,7 +348,7 @@ class RetransFirmware(EspMachineFirmware):
             "sFromWireC": self.rx_ack,
             "rFromWireC": self.rx_data,
             "timeoutC": self.rx_timeout,
-        })
+        }, engine)
         self.heap_baseline = self.machine.heap.live_count()
 
     # -- ESP -> device (marshalling helpers) ------------------------------------
@@ -523,10 +523,12 @@ def run_over_faulty_link(messages: int = 100, messages_back: int = 0,
                          timeout_us: float = 150.0,
                          deadline_us: float | None = None,
                          max_events: int = 10_000_000,
-                         cost: CostModel | None = None) -> FaultyLinkReport:
+                         cost: CostModel | None = None,
+                         engine: str | None = None) -> FaultyLinkReport:
     """Run the retransmission firmware end-to-end over the simulated
     (optionally faulty) link; side 0 pushes ``messages`` payloads,
-    side 1 pushes ``messages_back`` the other way."""
+    side 1 pushes ``messages_back`` the other way.  Both firmwares run
+    on ``engine`` (see :func:`repro.runtime.machine.create_machine`)."""
     cost = cost or CostModel()
     sim = Simulator()
     session = plan.start() if plan is not None else None
@@ -534,10 +536,10 @@ def run_over_faulty_link(messages: int = 100, messages_back: int = 0,
     firmwares = [
         RetransFirmware(cost, 0, messages=messages, window=window,
                         variant=variant, chunk_bytes=chunk_bytes,
-                        timeout_us=timeout_us),
+                        timeout_us=timeout_us, engine=engine),
         RetransFirmware(cost, 1, messages=messages_back, window=window,
                         variant=variant, chunk_bytes=chunk_bytes,
-                        timeout_us=timeout_us),
+                        timeout_us=timeout_us, engine=engine),
     ]
     nics, hosts = [], []
     for side, firmware in enumerate(firmwares):

@@ -31,10 +31,11 @@ from repro.verify.collapse import CollapseTables
 
 @contextlib.contextmanager
 def daemon_process(tmp_path, workers: int = 2, cache_dir=None,
-                   extra_args=()):
-    """A live ``espc serve`` subprocess; yields
-    ``SimpleNamespace(socket, proc)`` and guarantees the process is
-    gone on exit (graceful shutdown first, SIGKILL as a last resort)."""
+                   extra_args=(), extra_env=None):
+    """A live ``espc serve`` subprocess, with ``extra_env`` added to
+    this process's environment; yields ``SimpleNamespace(socket,
+    proc)`` and guarantees the process is gone on exit (graceful
+    shutdown first, SIGKILL as a last resort)."""
     socket_path = os.path.join(str(tmp_path), "serve.sock")
     cmd = [
         sys.executable, "-m", "repro.tools.cli", "serve",
@@ -43,7 +44,7 @@ def daemon_process(tmp_path, workers: int = 2, cache_dir=None,
     if cache_dir is not None:
         cmd += ["--cache-dir", str(cache_dir)]
     cmd += list(extra_args)
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,

@@ -27,7 +27,7 @@ Four legs:
   rule (see ``repro.runtime.external.ExternalWriter.offers``).
 
 Debugging a divergence: re-run the failing program with
-``--engine ast`` (or ``ESP_ENGINE=ast``) to confirm which side moved;
+``--engine ast`` (or ``engine="ast"``) to confirm which side moved;
 see docs/ENGINE.md.
 """
 
@@ -53,9 +53,12 @@ from repro.backends.c.build import find_cc
 from repro.errors import ESPError
 from repro.runtime.external import CallbackWriter
 from repro.runtime.machine import ENGINES
+from repro.sim.fabric import FabricConfig, run_fabric
+from repro.tools import cli
 from repro.verify.environment import default_verification_bridges
 from repro.verify.explorer import Explorer
 from repro.verify.state import canonical_state
+from repro.vmmc.retransmission import run_over_faulty_link
 from tests.strategies import esp_programs
 from tests.test_differential import GCC, HARNESS, PROGRAM, script_items
 
@@ -315,16 +318,51 @@ def test_four_way_agreement(c_binary, script):
     )
 
 
-def test_engine_env_default(monkeypatch):
-    # ESP_ENGINE selects the default; an explicit argument wins.
-    monkeypatch.setenv("ESP_ENGINE", "ast")
+def test_engine_default(monkeypatch):
+    # DEFAULT_ENGINE selects the engine of a machine built without
+    # one; an explicit argument wins.
+    monkeypatch.setattr("repro.runtime.machine.DEFAULT_ENGINE", "ast")
     program = compile_source(PROGRAM)
     assert Machine(program).engine == "ast"
     assert Machine(program, engine="compiled").engine == "compiled"
-    monkeypatch.delenv("ESP_ENGINE")
+    monkeypatch.setattr("repro.runtime.machine.DEFAULT_ENGINE", "compiled")
     assert Machine(program).engine == "compiled"
     with pytest.raises(ValueError):
         Machine(program, engine="jit")
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """The engine of every Machine built while the test runs, with the
+    default pinned to ``compiled`` so that an engine argument dropped on
+    the way down shows up as a ``compiled`` machine."""
+    monkeypatch.setattr("repro.runtime.machine.DEFAULT_ENGINE", "compiled")
+    engines = []
+    init = Machine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self.engine)
+
+    monkeypatch.setattr(Machine, "__init__", recording_init)
+    return engines
+
+
+def test_firmware_runs_build_only_the_named_engine(built_engines):
+    report = run_over_faulty_link(messages=2, engine="ast")
+    assert report.converged
+    assert built_engines == ["ast", "ast"]
+    built_engines.clear()
+    report = run_fabric(FabricConfig(nodes=4, messages=2), engine="ast")
+    assert report.converged
+    assert built_engines == ["ast"] * 4
+
+
+def test_verify_process_flag_builds_the_named_engine(built_engines):
+    vmmc = str(ESP_DIR / "vmmc.esp")
+    assert cli.main(["verify", vmmc, "--process", "completer",
+                     "--engine", "ast"]) == 0
+    assert built_engines == ["ast"]
 
 
 # -- leg 5: external offers with unknown or malformed arguments ----------------

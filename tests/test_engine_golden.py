@@ -11,9 +11,9 @@ simulation, so any divergence in instruction counts, timing quanta, or
 message contents shows up in the trace.
 
 Regenerating (only after an intentional semantic change, with both
-engines re-checked):
+engines re-checked) runs the AST engine:
 
-    PYTHONPATH=src ESP_ENGINE=ast python tests/test_engine_golden.py
+    PYTHONPATH=src python tests/test_engine_golden.py
 """
 
 from __future__ import annotations
@@ -45,40 +45,37 @@ PLANS = {
 }
 
 
-def _run(name: str) -> str:
-    report = run_over_faulty_link(window=4, **PLANS[name])
+def _run(name: str, engine: str) -> str:
+    report = run_over_faulty_link(window=4, engine=engine, **PLANS[name])
     assert report.converged, f"{name} did not converge"
     assert report.exactly_once_in_order(), f"{name} delivery check failed"
     return report.stats_json() + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
-def test_compiled_engine_matches_golden(name, monkeypatch):
+def test_compiled_engine_matches_golden(name):
     # The default engine (compiled) must reproduce the reference trace
     # byte for byte.
-    monkeypatch.delenv("ESP_ENGINE", raising=False)
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
-    assert _run(name) == golden
+    assert _run(name, "compiled") == golden
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
-def test_ast_engine_matches_golden(name, monkeypatch):
+def test_ast_engine_matches_golden(name):
     # The reference engine still reproduces its own goldens — guards
     # against interpreter drift invalidating the files silently.
-    monkeypatch.setenv("ESP_ENGINE", "ast")
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
-    assert _run(name) == golden
+    assert _run(name, "ast") == golden
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
 @pytest.mark.skipif(find_cc() is None, reason="no C compiler available")
-def test_native_engine_matches_golden(name, monkeypatch):
+def test_native_engine_matches_golden(name):
     # The loaded native engine (C shared object, batched quanta) must
     # also reproduce the reference traces byte for byte — through the
     # whole firmware + discrete-event simulation stack.
-    monkeypatch.setenv("ESP_ENGINE", "native")
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
-    assert _run(name) == golden
+    assert _run(name, "native") == golden
 
 
 def test_goldens_are_canonical_json():
@@ -92,5 +89,5 @@ def test_goldens_are_canonical_json():
 
 if __name__ == "__main__":  # regeneration entry point (see docstring)
     for name in sorted(PLANS):
-        (GOLDEN_DIR / f"{name}.json").write_text(_run(name))
+        (GOLDEN_DIR / f"{name}.json").write_text(_run(name, "ast"))
         print(f"wrote goldens/{name}.json")

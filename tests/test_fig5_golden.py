@@ -89,7 +89,7 @@ ENGINES = [
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fig5_points_match_golden(engine, monkeypatch):
-    monkeypatch.setenv("ESP_ENGINE", engine)
+    monkeypatch.setattr("repro.runtime.machine.DEFAULT_ENGINE", engine)
     assert _render(_points()) == GOLDEN.read_text()
 
 

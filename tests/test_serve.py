@@ -192,6 +192,23 @@ def test_mistyped_job_fields_are_bad_requests(tmp_path):
             assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
+def test_daemon_environment_does_not_pick_the_engine(tmp_path):
+    # ESP_ENGINE is the test suite's matrix switch, not a daemon
+    # setting: a daemon started with it answers exactly as a clean one,
+    # even with a value (native) that Machine refuses.
+    specs = [JobSpec(source=OK_SOURCE),
+             JobSpec(source=OK_SOURCE, process="consumer")]
+    bodies = []
+    for extra_env in ({}, {"ESP_ENGINE": "native"}):
+        with daemon_process(tmp_path, extra_env=extra_env) as daemon:
+            with ServeClient(daemon.socket) as client:
+                replies = client.submit_many(specs)
+        assert all(reply["ok"] for reply in replies), replies
+        bodies.append([canonical_json(deterministic_body(reply["result"]))
+                       for reply in replies])
+    assert bodies[0] == bodies[1]
+
+
 def test_daemon_on_a_socket_path_makes_no_temp_dir(tmp_path, monkeypatch):
     # Only the default socket needs a directory of the daemon's own.
     scratch = tmp_path / "tmp"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,3 +189,18 @@ def test_reduce_spelling_is_normalized():
     a = cache_key(ir_hash, JobSpec(source=_SOURCE, reduce="por,sym"))
     b = cache_key(ir_hash, JobSpec(source=_SOURCE, reduce="sym,por"))
     assert a == b
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_states", 0), ("max_states", -1), ("max_depth", -1),
+    ("max_objects", -1), ("env_budget", -1), ("int_domain", []),
+    ("array_sizes", []), ("array_sizes", [1, -1]),
+])
+def test_out_of_range_job_fields_are_refused_by_name(field, value):
+    # A search under any of these checks nothing (or finds a memory
+    # violation in no states), and the daemon caches every "ok"; it
+    # answers the ValueError as a bad-request naming the field.
+    wire = dict(JobSpec(source=_SOURCE, process="p").to_wire(),
+                **{field: value})
+    with pytest.raises(ValueError, match=repr(field)):
+        JobSpec.from_wire(wire)

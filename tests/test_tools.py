@@ -153,6 +153,45 @@ def test_missing_file(capsys):
     assert main(["check", "/nonexistent.esp"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "submit"])
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf-8"])
+def test_unreadable_source_is_one_error_line(tmp_path, command, unreadable,
+                                             capsys):
+    path = tmp_path / "pgm.esp"
+    if unreadable == "directory":
+        path.mkdir()
+        reason = "Is a directory"
+    else:
+        path.write_bytes(b"process p { \xff }\n")
+        reason = "can't decode byte 0xff"
+    # submit reads its file before it connects: nothing listens here.
+    flags = (["--socket", str(tmp_path / "none.sock")]
+             if command == "submit" else [])
+    assert main([command, str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"espc: error: cannot read {path}: ")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-states", "0"],
+    ["verify", "--max-states", "-1"],
+    ["verify", "--process", "q", "--max-states", "0"],
+    ["submit", "--max-states", "0"],
+    ["submit", "--max-depth", "-1"],
+    ["emit-spin", "--instances", "0"],
+], ids=["verify-states-0", "verify-states-negative", "process-states-0",
+        "submit-states-0", "submit-depth-negative", "emit-spin-instances-0"])
+def test_out_of_range_bounds_are_usage_errors(esp_file, argv, capsys):
+    # A bound that admits no search, or an emit-spin model that starts
+    # no process, can only give a vacuous "ok"; argparse refuses it.
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], esp_file, *argv[1:]])
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+
 # -- LoC accounting -----------------------------------------------------------------
 
 
