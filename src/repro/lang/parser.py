@@ -28,6 +28,11 @@ from repro.lang.tokens import Token, TokenKind
 # default recursion limit (tests/test_parser.py).
 MAX_NESTING = 100
 
+# The most elements an array fill may have when its size is a constant
+# (``{ n -> v, ... }``): a larger constant is a check-time error rather
+# than an allocation that exhausts memory when the program runs.
+MAX_ARRAY_SIZE = 1 << 20
+
 
 class K:
     """The :class:`TokenKind` members as plain class attributes.  Before

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TypeError_
 from repro.lang import ast
+from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.types import (
     BOOL,
     INT,
@@ -714,6 +715,13 @@ class Checker:
         expected = _strip_expect(expected, ArrayType, e, "array fill")
         ct = self._check_expr(e.count, scope)
         self._require(isinstance(ct, IntType), "array size must be int", e.count.span)
+        size = _folded(e.count)
+        if size is not None and size > MAX_ARRAY_SIZE:
+            raise TypeError_(
+                f"array size {size} exceeds the limit of {MAX_ARRAY_SIZE} "
+                "elements",
+                e.count.span,
+            )
         elem_expected = expected.element if expected is not None else None
         ft = self._check_expr(e.fill, scope, expected=elem_expected)
         if expected is not None:
@@ -766,6 +774,27 @@ def _strip_expect(expected, cls, e, what):
     if not isinstance(expected, cls):
         raise TypeError_(f"{what} cannot have type {expected}", e.span)
     return expected
+
+
+def _folded(e: ast.Expr):
+    """The value of a checked integer expression built from literals and
+    constants only, else None."""
+    if isinstance(e, ast.IntLit):
+        return e.value
+    if isinstance(e, ast.Var):
+        return getattr(e, "const_value", None)
+    if isinstance(e, ast.Unary) and e.op == "-":
+        value = _folded(e.operand)
+        return None if value is None else -value
+    if isinstance(e, ast.Binary):
+        left, right = _folded(e.left), _folded(e.right)
+        if left is None or right is None:
+            return None
+        try:
+            return _fold_binary(e.op, left, right)
+        except ZeroDivisionError:
+            return None
+    return None
 
 
 def _fold_binary(op: str, left, right):

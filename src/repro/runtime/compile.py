@@ -60,6 +60,14 @@ _DIRECT_OPS = {
 }
 
 
+def _true(*_):
+    return True
+
+
+def _false(*_):
+    return False
+
+
 def _pairify(fn, mode):
     """Wrap a compiled expression so it always returns (value, fresh)."""
     if mode is DYNAMIC:
@@ -182,6 +190,9 @@ def _compile_binary(e: ast.Binary, proc: ir.IRProcess, consts: dict):
     fr, _ = compile_expr(e.right, proc, consts)
     direct = _DIRECT_OPS.get(op)
     if direct is not None:
+        if isinstance(e.right, ast.IntLit):
+            right = e.right.value
+            return lambda machine, ps: direct(fl(machine, ps), right)
         return lambda machine, ps: direct(fl(machine, ps), fr(machine, ps))
     if op == "/":
         def div(machine, ps):
@@ -270,13 +281,16 @@ def _read_through(heap, result, base, base_fresh):
 
 
 def _compile_alloc(kind, items, mutable, tag, proc, consts):
-    item_fns = [_pairify(*compile_expr(item, proc, consts)) for item in items]
+    item_fns = [compile_expr(item, proc, consts) for item in items]
 
     def alloc(machine, ps):
         heap = machine.heap
         data = []
-        for fn in item_fns:
-            value, fresh = fn(machine, ps)
+        for fn, mode in item_fns:
+            if mode is DYNAMIC:
+                value, fresh = fn(machine, ps)
+            else:
+                value, fresh = fn(machine, ps), mode
             if isinstance(value, Ref) and not fresh:
                 heap.link(value)
             data.append(value)
@@ -458,22 +472,24 @@ def compile_test(pattern: ast.Pattern, proc: ir.IRProcess, consts: dict):
     ``fn(machine, ps, value) -> bool`` mirroring
     :func:`repro.runtime.interp.try_match`."""
     if isinstance(pattern, ast.PBind):
-        return lambda machine, ps, value: True
+        return _true
     if isinstance(pattern, ast.PEq):
         if getattr(pattern, "is_store", False):
-            return lambda machine, ps, value: True
+            return _true
         fe = _valuify(*compile_expr(pattern.expr, proc, consts))
         return lambda machine, ps, value: fe(machine, ps) == value
     if isinstance(pattern, ast.PRecord):
-        subs = [compile_test(item, proc, consts) for item in pattern.items]
-        arity = len(subs)
+        arity = len(pattern.items)
+        subs = _item_tests(pattern, proc, consts)
 
         def test_record(machine, ps, value):
             data = machine.heap.get(value).data
             if len(data) != arity:
                 return False
-            return all(sub(machine, ps, component)
-                       for sub, component in zip(subs, data))
+            for position, sub in subs:
+                if not sub(machine, ps, data[position]):
+                    return False
+            return True
 
         return test_record
     if isinstance(pattern, ast.PUnion):
@@ -497,16 +513,26 @@ def compile_test_components(pattern: ast.Pattern, proc: ir.IRProcess,
     wrapper is never allocated, so the components match item-wise."""
     if not isinstance(pattern, ast.PRecord):
         return lambda machine, ps, values: False
-    subs = [compile_test(item, proc, consts) for item in pattern.items]
-    arity = len(subs)
+    arity = len(pattern.items)
+    subs = _item_tests(pattern, proc, consts)
 
     def test_components(machine, ps, values):
         if len(values) != arity:
             return False
-        return all(sub(machine, ps, component)
-                   for sub, component in zip(subs, values))
+        for position, sub in subs:
+            if not sub(machine, ps, values[position]):
+                return False
+        return True
 
     return test_components
+
+
+def _item_tests(pattern: ast.PRecord, proc: ir.IRProcess, consts: dict) -> list:
+    """``(position, test)`` of the items of a record pattern that can
+    fail: a binder or store target matches anything."""
+    tests = [(position, compile_test(item, proc, consts))
+             for position, item in enumerate(pattern.items)]
+    return [(position, test) for position, test in tests if test is not _true]
 
 
 def compile_payload(arm: ir.AltArm, proc: ir.IRProcess, consts: dict):
@@ -591,14 +617,6 @@ def _compile_component_delivery(item: ast.Pattern, proc, consts):
 _ENV = ir.IRProcess(name="<external>", pid=-1)
 
 
-def _true(*_):
-    return True
-
-
-def _false(*_):
-    return False
-
-
 def compile_reach(entry: ast.Pattern, pattern: ast.Pattern,
                   proc: ir.IRProcess, consts: dict):
     """Offer matcher ``fn(machine, ps, args) -> bool``: would the
@@ -619,6 +637,8 @@ def _compile_reach(entry, rp, proc, consts, pos):
         index = pos[0]
         pos[0] += 1
         test = _compile_raw_test(entry.type, rp, proc, consts)
+        if test is _true:
+            return _true
         return lambda machine, ps, args: test(machine, ps, args[index])
     if isinstance(entry, ast.PEq):
         if takes_anything:
@@ -644,8 +664,17 @@ def _compile_reach(entry, rp, proc, consts, pos):
             return _false
         subs = [_compile_reach(e, r, proc, consts, pos)
                 for e, r in zip(entry.items, rp.items)]
-        return lambda machine, ps, args: all(
-            sub(machine, ps, args) for sub in subs)
+        subs = [sub for sub in subs if sub is not _true]
+        if not subs:
+            return _true
+
+        def reach_record(machine, ps, args):
+            for sub in subs:
+                if not sub(machine, ps, args):
+                    return False
+            return True
+
+        return reach_record
     if isinstance(entry, ast.PUnion):
         if takes_anything:
             return _true
@@ -878,6 +907,39 @@ def compile_out_check(ports: list, fused: bool):
     return check_fused
 
 
+def out_always_matches(instr: ir.Out, ports: list) -> bool:
+    """Does every message the ``out`` site ``instr`` can send match one
+    of ``ports`` without a heap read, so that its §4.2 check can never
+    fail?  True with no ports (the check is vacuous) or a ``Wild`` port
+    (not for a fused send, whose components the check matches against
+    record ports only), and for a record or union literal, or fused
+    components, that matches a port item by item: equal arity and tag,
+    ``Wild`` leaves."""
+    if not ports:
+        return True
+    if instr.fused:
+        items = instr.expr.items
+        return any(isinstance(port.shape, Rec)
+                   and len(port.shape.items) == len(items)
+                   and all(_literal_matches(item, shape)
+                           for item, shape in zip(items, port.shape.items))
+                   for port in ports)
+    return any(_literal_matches(instr.expr, port.shape) for port in ports)
+
+
+def _literal_matches(e: ast.Expr, shape) -> bool:
+    if isinstance(shape, Wild):
+        return True
+    if isinstance(shape, Rec):
+        return (isinstance(e, ast.RecordLit) and len(e.items) == len(shape.items)
+                and all(_literal_matches(item, sub)
+                        for item, sub in zip(e.items, shape.items)))
+    if isinstance(shape, Uni):
+        return (isinstance(e, ast.UnionLit) and e.tag == shape.tag
+                and _literal_matches(e.value, shape.value))
+    return False
+
+
 def compile_shape(shape):
     """``fn(heap, value) -> True | False | None``, mirroring
     :func:`repro.runtime.interp.shape_match`."""
@@ -923,24 +985,30 @@ class CompiledBoundary:
         self.ports = program.ports.ports
 
     def test(self, pattern, proc):
-        return _cached(pattern, "_ctest_fn", compile_test, pattern, proc,
-                       self.consts)
+        return (getattr(pattern, "_ctest_fn", None)
+                or _cache(pattern, "_ctest_fn",
+                          compile_test(pattern, proc, self.consts)))
 
     def test_components(self, pattern, proc):
-        return _cached(pattern, "_ctestc_fn", compile_test_components,
-                       pattern, proc, self.consts)
+        return (getattr(pattern, "_ctestc_fn", None)
+                or _cache(pattern, "_ctestc_fn",
+                          compile_test_components(pattern, proc, self.consts)))
 
     def bind(self, pattern, proc):
-        return _cached(pattern, "_cbind_fn", compile_bind, pattern, proc,
-                       self.consts)
+        return (getattr(pattern, "_cbind_fn", None)
+                or _cache(pattern, "_cbind_fn",
+                          compile_bind(pattern, proc, self.consts)))
 
     def deliver_components(self, pattern, proc):
-        return _cached(pattern, "_cdeliver_fn", compile_deliver_components,
-                       pattern, proc, self.consts)
+        return (getattr(pattern, "_cdeliver_fn", None)
+                or _cache(pattern, "_cdeliver_fn",
+                          compile_deliver_components(pattern, proc,
+                                                     self.consts)))
 
     def payload(self, arm, proc):
-        return _cached(arm, "_cpayload_fn", compile_payload, arm, proc,
-                       self.consts)
+        return (getattr(arm, "_cpayload_fn", None)
+                or _cache(arm, "_cpayload_fn",
+                          compile_payload(arm, proc, self.consts)))
 
     def reach(self, entry_name, entry, pattern, proc):
         table = getattr(pattern, "_creach_fns", None)
@@ -953,23 +1021,29 @@ class CompiledBoundary:
         return fn
 
     def build(self, entry):
-        return _cached(entry, "_cbuild_fn", compile_entry_build, entry,
-                       self.consts)
+        return (getattr(entry, "_cbuild_fn", None)
+                or _cache(entry, "_cbuild_fn",
+                          compile_entry_build(entry, self.consts)))
 
     def match_entry(self, entry, fused):
-        return _cached(entry, "_cacceptc_fn" if fused else "_caccept_fn",
-                       compile_match_entry, entry, self.consts, fused)
+        attr = "_cacceptc_fn" if fused else "_caccept_fn"
+        return (getattr(entry, attr, None)
+                or _cache(entry, attr,
+                          compile_match_entry(entry, self.consts, fused)))
 
     def out_check(self, instr):
-        return _cached(instr, "_ccheck_fn", compile_out_check,
-                       self.ports.get(instr.channel, []), instr.fused)
+        """The site's §4.2 check, or None where
+        :func:`out_always_matches` proves it cannot fail."""
+        if not hasattr(instr, "_ccheck_fn"):
+            ports = self.ports.get(instr.channel, [])
+            instr._ccheck_fn = (None if out_always_matches(instr, ports)
+                                else compile_out_check(ports, instr.fused))
+        return instr._ccheck_fn
 
 
-def _cached(node, attr: str, compile_fn, *args):
-    fn = getattr(node, attr, None)
-    if fn is None:
-        fn = compile_fn(*args)
-        setattr(node, attr, fn)
+def _cache(node, attr: str, fn):
+    """Keep the compiled closure ``fn`` on ``node``; returns it."""
+    setattr(node, attr, fn)
     return fn
 
 

@@ -161,8 +161,9 @@ class Heap:
     def _free(self, obj: HeapObject) -> None:
         obj.live = False
         self.counters.frees += 1
-        for child in obj.children():
-            self.unlink(child)
+        for child in obj.data:
+            if isinstance(child, Ref):
+                self.unlink(child)
         # The slot is reclaimed: drop the payload so leaks are visible as
         # live objects, matching the bounded objectId table of §5.2.
         self.objects.pop(obj.oid, None)

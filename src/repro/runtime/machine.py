@@ -6,7 +6,11 @@ and exposes the rendezvous mechanics as *moves*:
 * :meth:`enabled_moves` enumerates every currently possible
   synchronisation (internal rendezvous, external delivery, external
   accept) — this is the machine's entire nondeterminism, since
-  processes are deterministic between blocking points;
+  processes are deterministic between blocking points.  It is the
+  concatenation of two halves, :meth:`send_moves` (rendezvous and
+  accepts) and :meth:`add_deliveries` (external deliveries), so that
+  the scheduler can poll the external writers only when no rendezvous
+  is enabled;
 * :meth:`apply` performs one move;
 * :meth:`run_ready` runs all runnable processes to their next block.
 
@@ -28,6 +32,7 @@ Pattern work goes through the engine's *boundary*
 from __future__ import annotations
 
 from bisect import insort
+from operator import attrgetter
 
 from repro.errors import ESPRuntimeError
 from repro.lang import ast
@@ -192,8 +197,8 @@ class SnapshotCounters:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _pid_of(ps: ProcessState) -> int:
-    return ps.pid
+_pid_of = attrgetter("pid")
+_arm_index = attrgetter("index")
 
 
 _STATELESS_SNAPSHOTS = (ExternalWriter.snapshot, ExternalReader.snapshot)
@@ -209,6 +214,25 @@ def _stateful_bridges(externals: dict) -> tuple:
          if type(bridge).snapshot not in _STATELESS_SNAPSHOTS],
         key=lambda item: item[0],
     ))
+
+
+class _OutChecks(dict):
+    """``pc -> check`` for one process: the §4.2 check of its ``out``
+    at ``pc``, asked of the boundary at the site's first send.  None
+    where the boundary discharged it (:meth:`CompiledBoundary.out_check`
+    proves the sites it can; :class:`ReferenceBoundary` checks every
+    site)."""
+
+    __slots__ = ("boundary", "instrs")
+
+    def __init__(self, boundary, proc: ir.IRProcess):
+        super().__init__()
+        self.boundary = boundary
+        self.instrs = proc.instrs
+
+    def __missing__(self, pc: int):
+        check = self[pc] = self.boundary.out_check(self.instrs[pc])
+        return check
 
 
 #: Execution engines this class implements in Python: the
@@ -288,6 +312,8 @@ class Machine:
         else:
             self._stepper = run_until_block_compiled
             self._boundary = CompiledBoundary(program)
+        self._out_checks = [_OutChecks(self._boundary, proc)
+                            for proc in program.processes]
         channels = program.channels
         self._readers = frozenset(c for c, info in channels.items()
                                   if info.external == "reader")
@@ -360,7 +386,7 @@ class Machine:
         """Run every READY process to its next block; returns how many ran.
 
         The READY set is maintained at the status-transition sites
-        (reset, :meth:`_resume_sender`, restore), so settling after a
+        (reset, :meth:`_resume`, restore), so settling after a
         move costs O(processes that can run), not O(all processes).
         Running a process never makes another READY (resumption only
         happens through :meth:`apply`), so one pass in pid order is
@@ -374,6 +400,7 @@ class Machine:
         stepper = self._stepper
         counters = self.counters
         stale = self._stale
+        out_checks = self._out_checks
         for ps in (sorted(ready, key=_pid_of) if len(ready) > 1 else list(ready)):
             ready.discard(ps)
             stale.add(ps)
@@ -382,19 +409,17 @@ class Machine:
             if ps.status is Status.DONE:
                 self._ndone += 1
             elif ps.block.kind == "out":
-                self._check_out(ps)
+                # Dynamic exhaustiveness (§4.2): a message must match
+                # exactly one pattern; flag eagerly when it can match
+                # none.
+                check = out_checks[ps.pid][ps.pc]
+                if check is not None and not check(self, ps.block):
+                    raise ESPRuntimeError(
+                        f"message sent by '{ps.proc.name}' on channel "
+                        f"'{ps.block.channel}' matches no receive pattern",
+                    )
             ran += 1
         return ran
-
-    def _check_out(self, ps: ProcessState) -> None:
-        """Dynamic exhaustiveness (§4.2): a message must match exactly
-        one pattern; flag eagerly when it can match none."""
-        block = ps.block
-        if not self._boundary.out_check(ps.proc.instrs[ps.pc])(self, block):
-            raise ESPRuntimeError(
-                f"message sent by '{ps.proc.name}' on channel '{block.channel}' "
-                "matches no receive pattern",
-            )
 
     # -- the wait index --------------------------------------------------------------
 
@@ -409,7 +434,7 @@ class Machine:
         if ps.status is Status.BLOCKED:
             block = ps.block
             point = (ps.pc if block.kind != "alt"
-                     else (ps.pc, *[e.index for e in block.arms]))
+                     else (ps.pc, *map(_arm_index, block.arms)))
             points = self._wait_sets[pid]
             new = points.get(point)
             if new is None:
@@ -421,8 +446,9 @@ class Machine:
         self._waits[pid] = new
         # A cached channel order goes stale only when one of its
         # channels appears, empties or changes its first waiter.
+        senders, receivers = self._senders, self._receivers
         for w in old:
-            index = self._senders if w.pattern is None else self._receivers
+            index = senders if w.pattern is None else receivers
             waits = index[w.channel]
             if len(waits) == 1:
                 del index[w.channel]
@@ -431,9 +457,12 @@ class Machine:
                 continue
             else:
                 del waits[0]
-            self._reorder(w)
+            if index is senders:
+                self._send_order = None
+            elif w.channel in self._writers:
+                self._deliver_order = None
         for w in new:
-            index = self._senders if w.pattern is None else self._receivers
+            index = senders if w.pattern is None else receivers
             waits = index.get(w.channel)
             if waits is None:
                 index[w.channel] = [w]
@@ -441,13 +470,10 @@ class Machine:
                 insort(waits, w)
                 if waits[0] is not w:
                     continue
-            self._reorder(w)
-
-    def _reorder(self, w: _Wait) -> None:
-        if w.pattern is None:
-            self._send_order = None
-        elif w.channel in self._writers:
-            self._deliver_order = None
+            if index is senders:
+                self._send_order = None
+            elif w.channel in self._writers:
+                self._deliver_order = None
 
     def _make_waits(self, ps: ProcessState, block: BlockInfo) -> tuple:
         if block.kind == "out":
@@ -474,14 +500,19 @@ class Machine:
     def enabled_moves(self) -> list[Move]:
         """Every synchronisation currently possible (the machine's full
         nondeterminism), in a fixed order that schedulers and
-        counterexample paths index into.  Channels with blocked senders
-        come first, ordered by their first sender in (pid, arm) order:
-        an external-reader channel yields one accept per sender (if its
-        bridge can accept), an internal channel every matching
+        counterexample paths index into: :meth:`send_moves`, then the
+        deliveries :meth:`add_deliveries` appends."""
+        moves = self.send_moves()
+        self.add_deliveries(moves)
+        return moves
+
+    def send_moves(self) -> list[Move]:
+        """The first half of :meth:`enabled_moves`: channels with
+        blocked senders, ordered by their first sender in (pid, arm)
+        order.  An external-reader channel yields one accept per sender
+        (if its bridge can accept), an internal channel every matching
         (sender, receiver) pair, senders outer, both in (pid, arm)
-        order.  Then external-writer channels with blocked receivers,
-        ordered by their first receiver: one delivery per offer and
-        reachable receiver, offers outer."""
+        order.  Brings the wait index up to date first."""
         stale = self._stale
         if stale:
             index = self._index
@@ -489,60 +520,71 @@ class Machine:
                 index(ps)
             stale.clear()
         moves: list[Move] = []
+        if not self._senders:
+            return moves
+        order = self._send_order
+        if order is None:
+            order = self._send_order = sorted(self._senders.values(),
+                                              key=_head_key)
         externals = self.externals
         receivers = self._receivers
-        if self._senders:
-            order = self._send_order
-            if order is None:
-                order = self._send_order = sorted(self._senders.values(),
-                                                  key=_head_key)
-            counters = self.counters
-            readers = self._readers
-            for sends in order:
-                channel = sends[0].channel
-                if channel in readers:
-                    if externals[channel].can_accept():
-                        for s in sends:
-                            moves.append(ExternalAccept(channel, s.pid, s.arm))
-                    continue
-                recvs = receivers.get(channel)
-                if recvs is None:
-                    continue
-                for s in sends:
-                    s_pid, s_arm = s.pid, s.arm
-                    if s_arm is not None:
-                        # Postponed alt-out payload (§6.1): pair on
-                        # channel availability.
-                        for r in recvs:
-                            if r.pid != s_pid:
-                                moves.append(Rendezvous(channel, s_pid, s_arm,
-                                                        r.pid, r.arm))
-                        continue
-                    block = s.ps.block
-                    values, fused = block.values, block.fused
+        counters = self.counters
+        readers = self._readers
+        for sends in order:
+            channel = sends[0].channel
+            if channel in readers:
+                if externals[channel].can_accept():
+                    for s in sends:
+                        moves.append(ExternalAccept(channel, s.pid, s.arm))
+                continue
+            recvs = receivers.get(channel)
+            if recvs is None:
+                continue
+            for s in sends:
+                s_pid, s_arm = s.pid, s.arm
+                if s_arm is not None:
+                    # Postponed alt-out payload (§6.1): pair on channel
+                    # availability.
                     for r in recvs:
-                        if r.pid == s_pid:
-                            continue
-                        counters.matches += 1
-                        if (r.test_components(self, r.ps, values) if fused
-                                else r.test(self, r.ps, values[0])):
-                            moves.append(Rendezvous(channel, s_pid, None,
+                        if r.pid != s_pid:
+                            moves.append(Rendezvous(channel, s_pid, s_arm,
                                                     r.pid, r.arm))
-        if receivers:
-            order = self._deliver_order
-            if order is None:
-                writers = self._writers
-                order = self._deliver_order = sorted(
-                    [waits for channel, waits in receivers.items()
-                     if channel in writers],
-                    key=_head_key,
-                )
-            for recvs in order:
-                channel = recvs[0].channel
-                offers = externals[channel].offers()
-                if offers:
-                    self._deliveries(channel, recvs, offers, moves)
+                    continue
+                block = s.ps.block
+                values, fused = block.values, block.fused
+                for r in recvs:
+                    if r.pid == s_pid:
+                        continue
+                    counters.matches += 1
+                    if (r.test_components(self, r.ps, values) if fused
+                            else r.test(self, r.ps, values[0])):
+                        moves.append(Rendezvous(channel, s_pid, None,
+                                                r.pid, r.arm))
         return moves
+
+    def add_deliveries(self, moves: list[Move]) -> None:
+        """The second half of :meth:`enabled_moves`, appended to the
+        first: external-writer channels with blocked receivers, ordered
+        by their first receiver, one delivery per offer and reachable
+        receiver, offers outer.  Polls each such writer's ``offers()``;
+        call it only after :meth:`send_moves`, which re-indexes."""
+        receivers = self._receivers
+        if not receivers:
+            return
+        order = self._deliver_order
+        if order is None:
+            writers = self._writers
+            order = self._deliver_order = sorted(
+                [waits for channel, waits in receivers.items()
+                 if channel in writers],
+                key=_head_key,
+            )
+        externals = self.externals
+        for recvs in order:
+            channel = recvs[0].channel
+            offers = externals[channel].offers()
+            if offers:
+                self._deliveries(channel, recvs, offers, moves)
 
     def _deliveries(self, channel: str, recvs: list[_Wait], offers,
                     moves: list[Move]) -> None:
@@ -613,8 +655,8 @@ class Machine:
                 f"pattern of '{receiver.proc.name}' on '{move.channel}'"
             )
         self._deliver(receiver, pattern, values, fresh, fused)
-        self._resume_sender(sender, move.sender_arm)
-        self._resume_receiver(receiver, move.receiver_arm)
+        self._resume(sender, move.sender_arm)
+        self._resume(receiver, move.receiver_arm)
 
     def _take_sender_payload(self, sender: ProcessState, s_arm: int | None):
         """(values, fresh, fused) of a sender's message; an alt out-arm
@@ -643,22 +685,20 @@ class Machine:
         else:
             bind(self, receiver, value, False)
 
-    def _resume_sender(self, sender: ProcessState, s_arm: int | None) -> None:
-        sender.version += 1  # dirty for copy-on-write snapshots
-        self._dirty_procs.add(sender)
-        if s_arm is None:
-            sender.pc += 1
+    def _resume(self, ps: ProcessState, arm: int | None) -> None:
+        """Continue a sender or receiver past the move it took part in:
+        after its ``in``/``out``, or into the body of alt arm ``arm``."""
+        ps.version += 1  # dirty for copy-on-write snapshots
+        self._dirty_procs.add(ps)
+        if arm is None:
+            ps.pc += 1
         else:
-            instr = sender.proc.instrs[sender.pc]
-            sender.pc = instr.arms[s_arm].body_target
-        sender.status = Status.READY
-        sender.block = None
-        sender.wait_mask = 0
-        self._ready.add(sender)
-        self._stale.add(sender)
-
-    def _resume_receiver(self, receiver: ProcessState, r_arm: int | None) -> None:
-        self._resume_sender(receiver, r_arm)  # identical mechanics
+            ps.pc = ps.proc.instrs[ps.pc].arms[arm].body_target
+        ps.status = Status.READY
+        ps.block = None
+        ps.wait_mask = 0
+        self._ready.add(ps)
+        self._stale.add(ps)
 
     # -- external moves -----------------------------------------------------------
 
@@ -680,7 +720,7 @@ class Machine:
                 f"waiting pattern on '{move.channel}'"
             )
         self._deliver(receiver, pattern, [value], [True], fused=False)
-        self._resume_receiver(receiver, move.receiver_arm)
+        self._resume(receiver, move.receiver_arm)
 
     def _apply_external_accept(self, move: ExternalAccept) -> None:
         bridge: ExternalReader = self.externals[move.channel]
@@ -699,7 +739,7 @@ class Machine:
         for value, f in zip(values, fresh):
             if f and isinstance(value, Ref):
                 self.heap.unlink(value)
-        self._resume_sender(sender, move.sender_arm)
+        self._resume(sender, move.sender_arm)
 
     def build_value(self, t: Type, raw) -> Value:
         """Convert plain Python data into a heap value of type ``t``."""

@@ -56,11 +56,14 @@ class Scheduler:
         self._picks = 0
 
     def pick(self, moves: list[Move]) -> Move:
+        """The move the policy takes from ``enabled_moves()``."""
         # The firmware completes internal rendezvous before polling the
         # external channels (the idle loop comes last, §6.1) — so the
         # generated C and this scheduler order work the same way.
         internal = [m for m in moves if type(m) is Rendezvous]
-        pool = internal or moves
+        return self._choose(internal or moves)
+
+    def _choose(self, pool: list[Move]) -> Move:
         self._picks += 1
         if self.policy == "stack":
             if self._picks % self.AGING_PERIOD == 0:
@@ -83,20 +86,30 @@ class Scheduler:
         idle loop would now spin polling the external channels.  The
         caller (a test, a workload driver, or the NIC simulator)
         typically feeds more external input and calls ``run`` again.
+
+        Each step applies :meth:`pick` of ``enabled_moves()``, but
+        builds the deliveries half of that list only when the first
+        half holds no rendezvous: :meth:`pick` would discard them, so
+        the external writers are polled only when the firmware's idle
+        loop would poll them.
         """
         machine = self.machine
-        start_transfers = machine.counters.transfers
-        start_instructions = machine.counters.instructions
+        counters = machine.counters
+        start_transfers = counters.transfers
+        start_instructions = counters.instructions
         while True:
             machine.run_ready()
             if machine.all_done():
                 return RunResult(
                     "done",
-                    machine.counters.transfers - start_transfers,
-                    machine.counters.instructions - start_instructions,
+                    counters.transfers - start_transfers,
+                    counters.instructions - start_instructions,
                 )
-            moves = machine.enabled_moves()
-            machine.counters.idle_polls += 1
+            moves = machine.send_moves()
+            internal = [m for m in moves if type(m) is Rendezvous]
+            if not internal:
+                machine.add_deliveries(moves)
+            counters.idle_polls += 1
             if not moves:
                 if raise_on_deadlock and machine.blocked_processes():
                     names = ", ".join(
@@ -107,19 +120,19 @@ class Scheduler:
                     )
                 return RunResult(
                     "idle",
-                    machine.counters.transfers - start_transfers,
-                    machine.counters.instructions - start_instructions,
+                    counters.transfers - start_transfers,
+                    counters.instructions - start_instructions,
                 )
             if (
                 max_transfers is not None
-                and machine.counters.transfers - start_transfers >= max_transfers
+                and counters.transfers - start_transfers >= max_transfers
             ):
                 return RunResult(
                     "limit",
-                    machine.counters.transfers - start_transfers,
-                    machine.counters.instructions - start_instructions,
+                    counters.transfers - start_transfers,
+                    counters.instructions - start_instructions,
                 )
-            machine.apply(self.pick(moves))
+            machine.apply(self._choose(internal or moves))
 
 
 def create_scheduler(machine, policy: str = "stack", seed: int = 0):

@@ -21,6 +21,8 @@ import tempfile
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.errors import ESPError
+
 
 class ResultCache:
     """Two-tier (memory LRU + disk) content-addressed result cache."""
@@ -31,7 +33,14 @@ class ResultCache:
             raise ValueError("max_entries must be >= 1")
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                reason = ("not a directory" if isinstance(err, FileExistsError)
+                          else err.strerror)
+                raise ESPError(
+                    f"cannot use cache directory {directory}: {reason}"
+                ) from err
         self.max_entries = max_entries
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self.hits = 0

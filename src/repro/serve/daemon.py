@@ -99,6 +99,9 @@ class ServeDaemon:
             raise ValueError("workers must be >= 1")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError("espc serve requires fork-capable platform")
+        # First, so that an unusable cache directory is refused before
+        # anything else exists.
+        self.cache = ResultCache(cache_dir, max_entries=max_cache_entries)
         # The default socket lives in a temporary directory of its own,
         # removed at shutdown; a given socket path needs none.
         self.spool = None
@@ -108,7 +111,6 @@ class ServeDaemon:
         self.socket_path = str(socket_path)
         self.workers_configured = workers
         self.max_retries = max_retries
-        self.cache = ResultCache(cache_dir, max_entries=max_cache_entries)
 
         self._ctx = multiprocessing.get_context("fork")
         self._workers: list[_Worker] = []

@@ -362,8 +362,11 @@ def cmd_stats(args) -> int:
 
 def _write_out(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as err:
+            raise ESPError(f"cannot write {path}: {err.strerror}") from err
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)

@@ -14,7 +14,11 @@ so each has a gate against the AST reference interpreter:
   deterministic stretch between blocking points, the regime §5's
   state-machine reduction creates;
 * native >= 50x the AST walker's messages/sec on the Fig. 5 shapes
-  (skipped without a C compiler).
+  (skipped without a C compiler);
+* the compiled engine's Python calls per message transfer on the
+  simulated VMMC firmware stay under a bound.  That count is
+  deterministic for a given Python version, so it guards the
+  scheduler's and machine's per-transfer path without a timer.
 
 The engines under comparison run the identical execution (equal
 transfer and instruction counts, or equal states and transitions), so
@@ -32,15 +36,18 @@ costs the same fixed stretch of work.
 from __future__ import annotations
 
 import statistics
+import sys
 import time
 
 import pytest
 
 from repro.api import compile_source
 from repro.backends.c.build import find_cc
+from repro.runtime import machine as machine_module
 from repro.runtime.machine import Machine, create_machine
 from repro.runtime.scheduler import create_scheduler
 from repro.verify.explorer import Explorer
+from repro.vmmc import workloads
 
 MIN_SPEEDUP = 3.0
 NATIVE_MIN_SPEEDUP = 50.0
@@ -272,3 +279,51 @@ def test_compiled_engine_explores_three_times_the_states():
     assert speedup >= MIN_SPEEDUP, (
         f"compiled explores {speedup:.2f}x the AST walker's states/sec "
         f"(gate {MIN_SPEEDUP}x)")
+
+
+# Python calls per transfer of vmmcESP on the compiled engine, counted
+# with ``sys.setprofile``: 69.7 and 68.2 on CPython 3.11.  The bounds
+# leave 10% for other CPython versions; 3.12 inlines comprehensions and
+# reads lower.
+CALLS_PER_TRANSFER = {
+    "pingpong_latency 4": (workloads.pingpong_latency, 4, 77.0),
+    "one_way_bandwidth 1024": (workloads.one_way_bandwidth, 1024, 75.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS_PER_TRANSFER))
+def test_compiled_firmware_calls_per_transfer(name, monkeypatch):
+    fn, size, bound = CALLS_PER_TRANSFER[name]
+    monkeypatch.setattr(machine_module, "DEFAULT_ENGINE", "compiled")
+    pairs = []
+    build_pair = workloads.build_pair
+
+    def recording_build_pair(*args, **kwargs):
+        pair = build_pair(*args, **kwargs)
+        pairs.append(pair)
+        return pair
+
+    monkeypatch.setattr(workloads, "build_pair", recording_build_pair)
+    fn("esp", size)  # first use compiles the firmware's closures
+    pairs.clear()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn("esp", size)
+    finally:
+        sys.setprofile(previous)
+    (pair,) = pairs
+    transfers = sum(nic.firmware.machine.counters.transfers
+                    for nic in pair.nics)
+    assert transfers > 0
+    per_transfer = calls / transfers
+    assert per_transfer <= bound, (
+        f"{name}: {per_transfer:.1f} Python calls per transfer "
+        f"(bound {bound})")

@@ -12,8 +12,14 @@ from repro import (
     compile_source,
 )
 from repro.api import compile_source_with_stats
+from repro.backends.c.build import find_cc
 from repro.errors import AssertionFailure, ESPRuntimeError, MemorySafetyError
+from repro.ir import nodes as ir
+from repro.runtime.compile import CompiledBoundary
 from repro.runtime.interp import Status
+from repro.runtime.machine import create_machine
+from repro.runtime.scheduler import create_scheduler
+from repro.vmmc.firmware_esp import compile_vmmc_esp
 
 
 def run_source(src, externals=None, policy="stack", max_objects=None, **kw):
@@ -155,6 +161,62 @@ process q { in( c, { 0, $v }); print(v); }
 """
     with pytest.raises(ESPRuntimeError, match="matches no receive pattern"):
         run_source(src)
+
+
+# -- the §4.2 check the compiler discharges ----------------------------------------
+
+
+def _out_sites(program) -> list:
+    return [(proc.name, instr) for proc in program.processes
+            for instr in proc.instrs if isinstance(instr, ir.Out)]
+
+
+def _kept_out_checks(program) -> list:
+    """(process, channel) of every ``out`` whose §4.2 check the compiled
+    engine keeps."""
+    boundary = CompiledBoundary(program)
+    return [(name, instr.channel) for name, instr in _out_sites(program)
+            if boundary.out_check(instr) is not None]
+
+
+def test_vmmc_discharges_every_out_check_but_the_page_table_reply():
+    program = compile_vmmc_esp()
+    assert len(_out_sites(program)) == 12
+    # The reply's port { @, $pAddr } holds an equality on the pid.
+    assert _kept_out_checks(program) == [("pageTable", "ptReplyC")]
+
+
+@pytest.mark.parametrize("engine", ["compiled", "ast", "native"])
+def test_unmatched_message_is_the_same_error_on_every_engine(engine):
+    if engine == "native" and find_cc() is None:
+        pytest.skip("no C compiler available")
+    src = """
+channel c: record of { tag: int, v: int }
+process p { out( c, { 99, 1 }); }
+process q { in( c, { 0, $v }); print(v); }
+"""
+    program = compile_source(src)
+    assert _kept_out_checks(program) == [("p", "c")]
+    machine = create_machine(program, engine=engine)
+    with pytest.raises(ESPRuntimeError) as err:
+        create_scheduler(machine).run()
+    assert err.value.message == (
+        "message sent by 'p' on channel 'c' matches no receive pattern")
+
+
+def test_out_of_a_record_variable_keeps_its_check():
+    # Both sends match the nested all-binder port, but only the literal
+    # shows it without reading the heap.
+    src = """
+type innerT = record of { a: int, b: int }
+type msgT = record of { t: int, body: innerT }
+channel c: msgT
+process p { $m: msgT = { 1, { 2, 3 }}; out( c, m); out( c, { 4, { 5, 6 }}); }
+process q { while { in( c, { $t, { $a, $b }}); print(t + a + b); } }
+"""
+    assert _kept_out_checks(compile_source(src)) == [("p", "c")]
+    machine, result = run_source(src)
+    assert [values for _, values in machine.prints] == [[6], [15]]
 
 
 # -- alt ------------------------------------------------------------------------

@@ -174,6 +174,28 @@ def test_unreadable_source_is_one_error_line(tmp_path, command, unreadable,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["emit-c", "emit-spin", "pretty"])
+def test_unwritable_output_is_one_error_line(esp_file, tmp_path, command,
+                                             capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, esp_file, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"espc: error: cannot write {out}: Is a directory\n"
+
+
+def test_serve_refuses_a_cache_dir_that_is_a_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.touch()
+    sock = tmp_path / "s.sock"
+    assert main(["serve", "--socket", str(sock), "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"espc: error: cannot use cache directory {cache}: "
+                   "not a directory\n")
+    assert not sock.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--max-states", "0"],
     ["verify", "--max-states", "-1"],

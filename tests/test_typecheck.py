@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.api import compile_source
 from repro.errors import TypeError_
 from repro.lang import ast
-from repro.lang.parser import parse
+from repro.lang.parser import MAX_ARRAY_SIZE, parse
 from repro.lang.typecheck import check, deep_set_mutability
 from repro.lang.types import ArrayType, BOOL, INT, RecordType, UnionType
+from repro.vmmc.firmware_esp import VMMC_ESP_SOURCE
 
 
 def check_program(text):
@@ -155,6 +157,27 @@ def test_array_fill_infers_element_type():
     checked = check_body("$a = #{ 8 -> 0 };")
     (t,) = checked.processes[0].locals.values()
     assert t == ArrayType(INT, mutable=True)
+
+
+def test_constant_array_fill_over_the_bound_is_a_check_error():
+    # The page-table fill a mutation fuzzer found: it used to typecheck
+    # and lower, then exhaust memory when the firmware ran.  Only
+    # checking happens here, so nothing is allocated.
+    line = "$table: #array of int = #{ 64 -> 0, ... };"
+    assert line in VMMC_ESP_SOURCE
+    source = VMMC_ESP_SOURCE.replace(line, line.replace("64", "0x7fffffff"))
+    with pytest.raises(TypeError_) as err:
+        compile_source(source, filename="vmmc.esp")
+    assert err.value.message == (
+        f"array size 2147483647 exceeds the limit of {MAX_ARRAY_SIZE} elements")
+    span = err.value.span
+    row = source.splitlines()[span.start.line - 1]
+    assert row[span.start.column - 1:span.end.column - 1] == "0x7fffffff"
+
+
+def test_constant_array_fill_at_the_bound_checks():
+    check_body(f"$a = #{{ {MAX_ARRAY_SIZE // 2} * 2 -> 0 }};")
+    check_body("$n = 0x7fffffff; $a = #{ n -> 0 };")  # not a constant
 
 
 def test_array_literal_homogeneous():

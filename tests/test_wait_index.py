@@ -9,11 +9,16 @@ here as the oracle (:func:`reference_moves`): every blocked process in
 pid order, its waits grouped by channel in first-seen order, matched
 with the AST walker's reference matchers.
 
-The two are compared after every scheduler step and after every
-``restore`` the explorer performs (including restores of states other
-than the last one), over the examples corpus and generated programs,
-under both Python engines; ``all_done()`` is compared with a full scan
-at the same points.
+The two are compared before every move ``Scheduler.run`` applies, in
+the state it stops in, and after every ``restore`` the explorer
+performs (including restores of states other than the last one), over
+the examples corpus and generated programs, under both Python engines;
+``all_done()`` is compared with a full scan at the same points.
+
+``Scheduler.run`` builds the external deliveries only when no
+rendezvous is enabled, so the move it applies is also checked against
+``pick(enabled_moves())`` under every policy, and a counting writer
+shows that it is not polled while a rendezvous is enabled.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.runtime.interp import (
     try_match,
     try_match_components,
 )
+from repro.runtime.external import QueueWriter
 from repro.runtime.machine import (
     ENGINES,
     ExternalAccept,
@@ -155,22 +161,34 @@ def _machine(source: str, engine: str, filename: str = "<index>") -> Machine:
                    engine=engine)
 
 
-def _schedule(source: str, engine: str, policy: str, steps: int = 400) -> int:
-    """Drive a scheduler step by step, checking after every move."""
-    machine = _machine(source, engine)
-    scheduler = Scheduler(machine, policy=policy, seed=7)
+class _PickCheckedMachine(Machine):
+    """Checks, before every move it is asked to apply, the index against
+    the scan and the move against what the ``oracle`` scheduler (a
+    twin of the one applying moves) picks from ``enabled_moves()``."""
+
+    oracle: Scheduler
     checked = 0
+
+    def apply(self, move) -> None:
+        assert move == self.oracle.pick(_check(self))
+        self.checked += 1
+        super().apply(move)
+
+
+def _schedule(source: str, engine: str, policy: str, steps: int = 400) -> int:
+    """Run ``Scheduler.run`` for up to ``steps`` moves, checking every
+    move it applies and the state it stops in."""
+    program = compile_source(source, "<index>")
+    machine = _PickCheckedMachine(
+        program, externals=default_verification_bridges(program), engine=engine)
+    machine.oracle = Scheduler(machine, policy=policy, seed=7)
     try:
-        for _ in range(steps):
-            machine.run_ready()
-            moves = _check(machine)
-            checked += 1
-            if machine.all_done() or not moves:
-                break
-            machine.apply(scheduler.pick(moves))
+        Scheduler(machine, policy=policy, seed=7).run(max_transfers=steps)
+        _check(machine)
+        machine.checked += 1
     except ESPError:
         pass  # a runtime error ends the run; every step so far agreed
-    return checked
+    return machine.checked
 
 
 class _CheckedMachine(Machine):
@@ -214,8 +232,49 @@ def test_examples_explorer_restores_match_reference_scan(example, engine):
 @given(esp_programs())
 def test_random_programs_match_reference_scan(source):
     for engine in ENGINES:
-        _schedule(source, engine, "stack", steps=200)
+        for policy in ("stack", "fifo", "random"):
+            _schedule(source, engine, policy, steps=200)
         _explore(source, engine, max_states=100)
+
+
+class _CountingWriter(QueueWriter):
+    polls = 0
+
+    def offers(self):
+        self.polls += 1
+        return super().offers()
+
+
+POLLED = """
+channel c: int
+channel e: int
+external interface ext(out e) { E($v) };
+process producer { $i = 0; while (i < 5) { out( c, i); i = i + 1; } }
+process consumer {
+    $n = 0;
+    while {
+        alt {
+            case( in( c, $x)) { n = n + x; }
+            case( in( e, $y)) { n = n + y; }
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_writer_is_not_polled_while_a_rendezvous_is_enabled(engine):
+    # The consumer can take the queued E(7) from the start, but each of
+    # the five enumerations that hold a rendezvous picks the rendezvous
+    # without asking the writer; it is polled twice: once to deliver
+    # E(7) after the producer is done, once to find the queue empty.
+    writer = _CountingWriter(["E"])
+    writer.post("E", 7)
+    machine = Machine(compile_source(POLLED, "<polled>"),
+                      externals={"e": writer}, engine=engine)
+    result = Scheduler(machine).run()
+    assert (result.reason, result.transfers) == ("idle", 6)
+    assert writer.polls == 2
 
 
 def test_restoring_an_older_state_reindexes():
