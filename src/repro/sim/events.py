@@ -11,16 +11,10 @@ allocated.  Event order is exactly the historical (time, sequence)
 order: buckets only change how the queue is stored, never what fires
 when.
 
-``run_until`` evaluates its stop predicate once per ``batch_events``
-events.  The default, 1, evaluates it before every event, which the
-2-node harnesses and the golden traces depend on.  At fabric scale the
-convergence predicate walks every node's endpoints, so evaluating it
-per event is the hot path; a larger batch amortises it.  Event *order*
-does not depend on the batch size — one seed still yields
-byte-identical stats — only where the predicate may first be observed
-true does (a run can overshoot by at most one batch; a run that then
-drains to quiescence ends in the same state either way, which is why
-per-node counters do not depend on the batch size).
+``run_until`` is the one dispatch loop.  It checks its stop predicate
+before every event, so a run stops on the exact event that made the
+predicate true and ``now`` is that event's time; predicates must
+therefore be cheap (the fabric's convergence check is a counter).
 """
 
 from __future__ import annotations
@@ -33,10 +27,7 @@ from typing import Callable
 class Simulator:
     """The event queue and clock shared by all simulated components."""
 
-    def __init__(self, batch_events: int = 1):
-        if batch_events < 1:
-            raise ValueError(f"batch_events must be >= 1, got {batch_events}")
-        self.batch_events = batch_events
+    def __init__(self):
         self.now = 0.0
         self.events_processed = 0
         # Distinct live timestamps, as a heap ...
@@ -73,103 +64,47 @@ class Simulator:
         """Run ``fn(*args)`` at absolute time ``time_us``."""
         self.schedule(max(0.0, time_us - self.now), fn, *args)
 
-    def _peek_time(self) -> float | None:
-        """The timestamp of the next event, or None when drained."""
-        if self._ready:
-            return self._ready_time
-        if self._times:
-            return self._times[0]
-        return None
-
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        ready = self._ready
-        if not ready:
-            if not self._times:
-                return False
-            time = heapq.heappop(self._times)
-            self._ready = ready = self._buckets.pop(time)
-            self._ready_time = time
-        fn, args = ready.popleft()
-        self._count -= 1
-        self.now = self._ready_time
-        self.events_processed += 1
-        fn(*args)
-        return True
-
-    def run(self, until_us: float | None = None,
-            max_events: int = 10_000_000) -> None:
-        """Drain the queue (optionally up to a time horizon)."""
-        for _ in range(max_events):
-            time = self._peek_time()
-            if time is None:
-                return
-            if until_us is not None and time > until_us:
-                self.now = until_us
-                return
-            self.step()
-        raise RuntimeError(f"simulation exceeded {max_events} events")
-
     def run_until(self, predicate: Callable[[], bool],
                   max_events: int = 10_000_000,
                   until_us: float | None = None) -> bool:
-        """Run until ``predicate()`` holds; returns False when the queue
-        drained first, or when the ``until_us`` deadline passed (the
-        soak harness's non-convergence watchdog).
-
-        The predicate is evaluated once per ``batch_events`` events; see
-        the module docstring for the (unchanged) determinism contract.
-        """
-        remaining = max_events
-        batch = self.batch_events
+        """Run until ``predicate()`` holds, checking it before every
+        event; returns False when the queue drained first, or when the
+        ``until_us`` deadline passed (the soak harness's
+        non-convergence watchdog).  Draining the queue with
+        ``run_until(lambda: False)`` is the plain "run everything"."""
         times = self._times
         buckets = self._buckets
-        while True:
+        for _ in range(max_events):
             if predicate():
                 return True
-            limit = batch if batch < remaining else remaining
-            processed = 0
-            # The inner loop is the hot path: dispatch straight off the
-            # buckets, no per-event predicate or method calls.
-            while processed < limit:
-                ready = self._ready
-                if not ready:
-                    if not times:
-                        break
-                    time = times[0]
-                    if until_us is not None and time > until_us:
-                        break
-                    heapq.heappop(times)
-                    self._ready = ready = buckets.pop(time)
-                    self._ready_time = time
-                elif until_us is not None and self._ready_time > until_us:
+            ready = self._ready
+            if not ready:
+                if not times:
                     break
-                fn, args = ready.popleft()
-                self._count -= 1
-                self.now = self._ready_time
-                self.events_processed += 1
-                fn(*args)
-                processed += 1
-            remaining -= processed
-            if processed < limit:
-                # The batch ended early: drained, or horizon reached.
-                # A satisfied predicate returns at the current clock —
-                # only an *unsatisfied* one advances to the horizon, so
-                # the watchdog clamp never masquerades as the
-                # convergence time.
-                if until_us is None:
-                    return predicate()
-                if predicate():
-                    return True
-                if until_us > self.now:
-                    self.now = until_us
-                return predicate()
-            if remaining <= 0:
-                if predicate():
-                    return True
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events"
-                )
+                time = times[0]
+                if until_us is not None and time > until_us:
+                    break
+                heapq.heappop(times)
+                self._ready = ready = buckets.pop(time)
+                self._ready_time = time
+            elif until_us is not None and self._ready_time > until_us:
+                break
+            fn, args = ready.popleft()
+            self._count -= 1
+            self.now = self._ready_time
+            self.events_processed += 1
+            fn(*args)
+        else:
+            if predicate():
+                return True
+            raise RuntimeError(f"simulation exceeded {max_events} events")
+        # Drained, or the horizon reached.  Only an unsatisfied
+        # predicate advances the clock to the horizon, so the watchdog
+        # clamp never masquerades as the convergence time; a
+        # time-dependent predicate sees the clamped clock.
+        if until_us is not None and until_us > self.now:
+            self.now = until_us
+        return predicate()
 
     def pending(self) -> int:
         """Unfired events — including the not-yet-dispatched remainder

@@ -201,7 +201,6 @@ def cmd_sim(args) -> int:
                 chunk_bytes=args.chunk_bytes,
                 timeout_us=args.timeout_us,
                 deadline_us=args.deadline_us,
-                batch_events=args.batch_events,
                 switch=SwitchConfig(
                     port_mb_s=args.port_mb_s,
                     buffer_bytes=args.buffer_bytes
@@ -457,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", type=_positive_int, default=None,
                    metavar="N",
                    help="run an N-node switched fabric instead of the "
-                        "2-node point-to-point link (N=2 uses the "
-                        "legacy wire as the degenerate case)")
+                        "2-node point-to-point link (N=2 keeps the "
+                        "point-to-point wire)")
     p.add_argument("--scenario", default=None,
                    choices=("pairwise", "incast", "all_to_all",
                             "hot_receiver", "churn"),
@@ -467,11 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="scenario seed (churn flow selection; fault "
                         "randomness is seeded by --faults)")
-    p.add_argument("--batch-events", type=_positive_int, default=128,
-                   metavar="N",
-                   help="fabric events dispatched between convergence "
-                        "checks; 1 checks before every event (counters "
-                        "are identical either way; default 128)")
     p.add_argument("--buffer-bytes", type=_positive_int, default=None,
                    help="switch shared packet buffer (default 262144)")
     p.add_argument("--port-mb-s", type=float, default=None,

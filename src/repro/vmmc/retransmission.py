@@ -43,11 +43,8 @@ from repro.api import compile_source
 from repro.ir.nodes import IRProgram
 from repro.runtime.external import CallbackReader, QueueWriter
 from repro.runtime.machine import Machine
-from repro.sim.events import Simulator
 from repro.sim.faults import FaultPlan
-from repro.sim.host import Host
-from repro.sim.network import Wire
-from repro.sim.nic import NIC, FirmwareAction, FirmwareInput
+from repro.sim.nic import FirmwareAction, FirmwareInput
 from repro.sim.timing import CostModel, ReliabilityCounters
 from repro.verify.environment import ChoiceWriter, SinkReader
 from repro.verify.explorer import Explorer, ExploreResult
@@ -528,69 +525,41 @@ def run_over_faulty_link(messages: int = 100, messages_back: int = 0,
     """Run the retransmission firmware end-to-end over the simulated
     (optionally faulty) link; side 0 pushes ``messages`` payloads,
     side 1 pushes ``messages_back`` the other way.  Both firmwares run
-    on ``engine`` (see :func:`repro.runtime.machine.create_machine`)."""
-    cost = cost or CostModel()
-    sim = Simulator()
-    session = plan.start() if plan is not None else None
-    wire = Wire(sim, cost, faults=session)
-    firmwares = [
-        RetransFirmware(cost, 0, messages=messages, window=window,
-                        variant=variant, chunk_bytes=chunk_bytes,
-                        timeout_us=timeout_us, engine=engine),
-        RetransFirmware(cost, 1, messages=messages_back, window=window,
-                        variant=variant, chunk_bytes=chunk_bytes,
-                        timeout_us=timeout_us, engine=engine),
-    ]
-    nics, hosts = [], []
-    for side, firmware in enumerate(firmwares):
-        nic = NIC(sim, cost, side, firmware, faults=session)
-        nic.wire = wire
-        wire.attach(side, nic)
-        hosts.append(Host(sim, cost, nic))
-        nics.append(nic)
-    for nic in nics:
-        # The start kick: firmware begins executing at power-on, not on
-        # the first external event.
-        nic.deliver_input(FirmwareInput("timer", ("start",)))
+    on ``engine`` (see :func:`repro.runtime.machine.create_machine`).
 
-    if deadline_us is None:
-        # Generous: every message can afford several full timeouts.
-        deadline_us = 50_000.0 + 2_000.0 * (messages + messages_back)
+    The link is the 2-node ``pairwise`` fabric
+    (:func:`repro.sim.fabric.run_fabric`), reported per side."""
+    # The fabric builds its endpoints from this module's RetransFirmware.
+    from repro.sim.fabric import FabricConfig, run_fabric
 
-    def complete() -> bool:
-        return (firmwares[0].done and firmwares[1].done
-                and len(firmwares[1].delivered) >= messages
-                and len(firmwares[0].delivered) >= messages_back)
-
-    converged = sim.run_until(complete, max_events=max_events,
-                              until_us=deadline_us)
-    if converged:
-        # Drain in-flight timers/acks so leak checks see quiescence.
-        sim.run_until(lambda: sim.pending() == 0, max_events=max_events,
-                      until_us=sim.now + 10 * firmwares[0].timeout_max_us)
-
+    report = run_fabric(
+        FabricConfig(nodes=2, scenario="pairwise", messages=messages,
+                     messages_back=messages_back, window=window,
+                     chunk_bytes=chunk_bytes, timeout_us=timeout_us,
+                     variant=variant, deadline_us=deadline_us),
+        plan=plan, cost=cost, max_events=max_events, engine=engine,
+    )
     nic_stats = []
-    for side, (nic, firmware) in enumerate(zip(nics, firmwares)):
+    for side, node in enumerate(report.node_stats):
+        (endpoint,) = node["endpoints"]
         nic_stats.append({
             "side": side,
-            "sender_done": firmware.done,
-            "reliability": firmware.reliability.as_dict(),
-            "heap_live_objects": firmware.machine.heap.live_count(),
-            "heap_live_baseline": firmware.heap_baseline,
-            "quanta": nic.stats.quanta,
-            "timers_set": nic.stats.timers_set,
-            "dma_stalls": nic.dma_host.stalls + nic.dma_send.stalls
-                          + nic.dma_recv.stalls,
+            "sender_done": endpoint["sender_done"],
+            "reliability": endpoint["reliability"],
+            "heap_live_objects": endpoint["heap_live_objects"],
+            "heap_live_baseline": endpoint["heap_live_baseline"],
+            "quanta": node["quanta"],
+            "timers_set": node["timers_set"],
+            "dma_stalls": node["dma_stalls"],
         })
     return FaultyLinkReport(
-        converged=converged,
-        time_us=sim.now,
-        events=sim.events_processed,
+        converged=report.converged,
+        time_us=report.time_us,
+        events=report.events,
         messages=(messages, messages_back),
-        delivered=(list(firmwares[0].delivered),
-                   list(firmwares[1].delivered)),
+        delivered=(report.delivered[(0, 1)], report.delivered[(1, 0)]),
         nics=nic_stats,
-        wire=wire.stats(),
-        faults=session.stats.as_dict() if session is not None else {},
-        plan=plan.describe() if plan is not None else "none",
+        wire=report.network,
+        faults=report.faults,
+        plan=report.plan,
     )

@@ -149,7 +149,7 @@ def test_misrouted_packets_are_counted_not_crashed():
     switch.send(0, {"dest": 7, "nbytes": 0}, 16)      # no such port
     switch.send(0, {"nbytes": 0}, 16)                 # no dest at all
     switch.send(0, {"dest": 1, "nbytes": 0}, 16)      # fine
-    sim.run()
+    sim.run_until(lambda: False)
     assert switch.misrouted == 2
     assert switch.routed == 1
     assert switch.quiescent()
@@ -160,7 +160,7 @@ def test_unattached_port_is_a_hard_error():
     switch = Switch(sim, CostModel(), 2)
     switch.send(0, {"dest": 1, "nbytes": 0}, 16)
     with pytest.raises(RuntimeError):
-        sim.run()
+        sim.run_until(lambda: False)
 
 
 # -- config validation ------------------------------------------------------------
@@ -172,7 +172,6 @@ def test_unattached_port_is_a_hard_error():
     dict(scenario="hot_receiver", nodes=2),
     dict(messages=0),
     dict(messages_back=-1),
-    dict(batch_events=0),
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
