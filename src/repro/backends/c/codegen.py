@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.errors import ESPError
 from repro.lang import ast
+from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, Rec, Uni
 from repro.lang.types import ArrayType, BoolType, RecordType, Type, UnionType
 from repro.ir import nodes as ir
@@ -192,6 +193,8 @@ class CCodegen:
     # ------------------------------------------------------------------ tables
 
     def _gen_channel_ids(self) -> None:
+        if not self.channel_ids:
+            return  # C has no empty enum
         self.out.emit("/* channel ids */")
         self.out.emit("enum {")
         for name, cid in self.channel_ids.items():
@@ -407,7 +410,8 @@ class CCodegen:
         self.out.emit(f"intptr_t {n} = {count.text};")
         site = self._site("negsize", span=e.span)
         self.out.emit(
-            f"if ({n} < 0) esp_fail_at({site}, (long long){n}, 0, 0);"
+            f"if ({n} < 0 || {n} > {MAX_ARRAY_SIZE}) "
+            f"esp_fail_at({site}, (long long){n}, 0, 0);"
         )
         temp = self.out.fresh_temp()
         self.out.emit(

@@ -27,11 +27,19 @@ import operator
 
 from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
+from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, Rec, Uni, Wild
 from repro.lang.types import ArrayType, RecordType, UnionType
 from repro.ir import nodes as ir
 from repro.ir.slots import resolve_process_slots
-from repro.runtime.interp import BlockInfo, EnabledArm, Status, _store_slot, _verdict
+from repro.runtime.interp import (
+    BlockInfo,
+    EnabledArm,
+    Status,
+    _store_slot,
+    _verdict,
+    array_size_error,
+)
 from repro.runtime.values import Ref, UNSET
 
 # Handler return sentinel: the process blocked (or halted); the handler
@@ -307,8 +315,8 @@ def _compile_fill(e: ast.ArrayFill, proc, consts):
     def fill(machine, ps):
         heap = machine.heap
         count = fc(machine, ps)
-        if count < 0:
-            raise ESPRuntimeError(f"negative array size {count}", span)
+        if not 0 <= count <= MAX_ARRAY_SIZE:
+            raise array_size_error(count, span)
         value, fresh = ff(machine, ps)
         if isinstance(value, Ref):
             links = count - 1 if fresh else count

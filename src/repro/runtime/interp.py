@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
+from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, EqUnknown, Rec, Shape, Uni, Wild
 from repro.lang.typecheck import _fold_binary
 from repro.lang.types import ArrayType, RecordType, Type, UnionType
@@ -127,6 +128,17 @@ class ProcessState:
 
     def __repr__(self) -> str:
         return f"<{self.proc.name} pc={self.pc} {self.status.value}>"
+
+
+def array_size_error(count: int, span) -> ESPRuntimeError:
+    """The error of an array fill whose run-time size is negative or
+    above the typechecker's static limit (every engine raises it)."""
+    if count < 0:
+        return ESPRuntimeError(f"negative array size {count}", span)
+    return ESPRuntimeError(
+        f"array size {count} exceeds the limit of {MAX_ARRAY_SIZE} elements",
+        span,
+    )
 
 
 class Evaluator:
@@ -255,8 +267,8 @@ class Evaluator:
 
     def _eval_fill(self, e: ast.ArrayFill, ps: ProcessState) -> tuple[Value, bool]:
         count, _ = self.eval(e.count, ps)
-        if count < 0:
-            raise ESPRuntimeError(f"negative array size {count}", e.span)
+        if not 0 <= count <= MAX_ARRAY_SIZE:
+            raise array_size_error(count, e.span)
         fill, fresh = self.eval(e.fill, ps)
         if isinstance(fill, Ref):
             # Every slot references the object: fresh fills donate their

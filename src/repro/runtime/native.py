@@ -35,7 +35,7 @@ from repro.backends.c.build import build_shared, cache_dir, find_cc, artifact_ke
 from repro.backends.c.codegen import generate_native
 from repro.errors import AssertionFailure, DeadlockError, ESPRuntimeError
 from repro.runtime.external import ExternalReader, ExternalWriter
-from repro.runtime.interp import Status
+from repro.runtime.interp import Status, array_size_error
 from repro.runtime.scheduler import RunResult
 
 #: Must match ESP_EV_CAP in runtime_c.py (drain buffer sizing).
@@ -450,7 +450,7 @@ class NativeMachine:
             return ESPRuntimeError(
                 f"array index {a} out of bounds (size {b})", span)
         if kind == "negsize":
-            return ESPRuntimeError(f"negative array size {a}", span)
+            return array_size_error(a, span)
         if kind == "assert":
             return AssertionFailure(
                 f"assertion failed in process '{site['proc']}'", span)

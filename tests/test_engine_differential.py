@@ -445,3 +445,33 @@ def test_short_or_unconvertible_offer_is_undeliverable_on_every_engine(
     assert fps["ast"]["received"] == []
     assert fps["ast"]["outcome"][:2] == ("idle", 0)
     _assert_same(fps)
+
+
+# -- run-time array sizes above the static limit --------------------------------
+
+_OVERSIZED_FILL = """\
+process p {
+    $n = 0x100000 + 1;
+    $a: #array of int = #{ n -> 0, ... };
+    print( a[0]);
+}
+"""
+
+
+def test_oversized_runtime_fill_is_one_spanned_error_on_every_engine():
+    # The typechecker bounds only fill sizes it can fold; a size
+    # computed at run time one past MAX_ARRAY_SIZE must end in the same
+    # diagnostic on every engine, before anything is allocated.
+    errors = {}
+    for engine in OFFER_ENGINES:
+        machine = create_machine(compile_source(_OVERSIZED_FILL, "fill.esp"),
+                                 engine=engine)
+        with pytest.raises(ESPError) as info:
+            create_scheduler(machine).run()
+        errors[engine] = (type(info.value).__name__, str(info.value))
+    assert errors["ast"] == (
+        "ESPRuntimeError",
+        "fill.esp:3:25: array size 1048577 exceeds the limit of 1048576 "
+        "elements",
+    )
+    assert len(set(errors.values())) == 1, errors

@@ -10,7 +10,7 @@ Two checks pin the lexer and parser to byte-identical output:
   and ``canonical_ir_hash``.  Regenerate only after an intentional
   change to the language's surface or the C backend:
 
-      PYTHONPATH=src python tests/test_front_end.py
+      PYTHONPATH=src:. python tests/test_front_end.py
 
 * **Oracle.** ``tests/front_end_reference.py`` keeps the original
   character-at-a-time scanner.  A Hypothesis test mutates corpus texts
