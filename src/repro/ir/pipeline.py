@@ -40,7 +40,6 @@ class OptStats:
     outs_fused: int = 0
     casts_elided: int = 0
     crossproc_binders: int = 0
-    passes: int = 0
     per_process_instrs: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def total(self) -> int:
@@ -59,18 +58,10 @@ def optimize(program: ir.IRProgram, level: OptLevel = OptLevel.FULL) -> OptStats
     stats = OptStats()
     if level is OptLevel.NONE:
         return stats
+    before = {process.name: len(process.instrs)
+              for process in program.processes}
     for process in program.processes:
-        before = len(process.instrs)
-        for _ in range(_MAX_PASSES):
-            stats.passes += 1
-            changed = 0
-            changed += _add(stats, "folds", fold_process(process))
-            changed += _add(stats, "copies_propagated", propagate_copies(process))
-            changed += _add(stats, "dead_removed", eliminate_dead_code(process))
-            compact_nops(process)
-            if changed == 0:
-                break
-        stats.per_process_instrs[process.name] = (before, len(process.instrs))
+        _simplify(process, stats)
     # Cross-process constant propagation (the paper's §6.2 future work);
     # iterate so constants chain through pipelines of channels, then let
     # the per-process passes clean up what it exposed.
@@ -83,20 +74,28 @@ def optimize(program: ir.IRProgram, level: OptLevel = OptLevel.FULL) -> OptStats
         previous = cross.binders_propagated
     if stats.crossproc_binders:
         for process in program.processes:
-            before = stats.per_process_instrs[process.name][0]
-            for _ in range(_MAX_PASSES):
-                changed = 0
-                changed += _add(stats, "folds", fold_process(process))
-                changed += _add(stats, "copies_propagated", propagate_copies(process))
-                changed += _add(stats, "dead_removed", eliminate_dead_code(process))
-                compact_nops(process)
-                if changed == 0:
-                    break
-            stats.per_process_instrs[process.name] = (before, len(process.instrs))
+            _simplify(process, stats)
+    stats.per_process_instrs = {
+        process.name: (before[process.name], len(process.instrs))
+        for process in program.processes
+    }
     alloc = optimize_allocations(program)
     stats.outs_fused = alloc.outs_fused
     stats.casts_elided = alloc.casts_elided
     return stats
+
+
+def _simplify(process: ir.IRProcess, stats: OptStats) -> None:
+    """Fold, propagate copies and remove dead code in ``process`` until
+    a pass changes nothing (at most ``_MAX_PASSES`` passes)."""
+    for _ in range(_MAX_PASSES):
+        changed = 0
+        changed += _add(stats, "folds", fold_process(process))
+        changed += _add(stats, "copies_propagated", propagate_copies(process))
+        changed += _add(stats, "dead_removed", eliminate_dead_code(process))
+        compact_nops(process)
+        if changed == 0:
+            break
 
 
 def _add(stats: OptStats, attr: str, amount: int) -> int:

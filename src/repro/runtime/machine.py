@@ -370,7 +370,6 @@ class Machine:
         self._receivers: dict[str, list[_Wait]] = {}
         self._waits: list[tuple[_Wait, ...]] = [()] * len(self.processes)
         self._wait_sets: list[dict] = [{} for _ in self.processes]
-        self._send_order: list[list[_Wait]] | None = None
         self._deliver_order: list[list[_Wait]] | None = None
 
     # -- printing ---------------------------------------------------------------
@@ -427,7 +426,7 @@ class Machine:
         """Bring the wait index up to date with a stale ``ps``.  Waits
         are built once per blocking point (the pc, plus the enabled arms
         of an ``alt``), so a process found blocked where it was indexed
-        last time leaves the index, and the cached channel orders,
+        last time leaves the index, and the cached delivery order,
         untouched."""
         pid = ps.pid
         old = self._waits[pid]
@@ -444,8 +443,8 @@ class Machine:
         if new is old:
             return
         self._waits[pid] = new
-        # A cached channel order goes stale only when one of its
-        # channels appears, empties or changes its first waiter.
+        # The cached delivery order goes stale only when one of its
+        # writer channels appears, empties or changes its first waiter.
         senders, receivers = self._senders, self._receivers
         for w in old:
             index = senders if w.pattern is None else receivers
@@ -457,9 +456,7 @@ class Machine:
                 continue
             else:
                 del waits[0]
-            if index is senders:
-                self._send_order = None
-            elif w.channel in self._writers:
+            if index is receivers and w.channel in self._writers:
                 self._deliver_order = None
         for w in new:
             index = senders if w.pattern is None else receivers
@@ -470,9 +467,7 @@ class Machine:
                 insort(waits, w)
                 if waits[0] is not w:
                     continue
-            if index is senders:
-                self._send_order = None
-            elif w.channel in self._writers:
+            if index is receivers and w.channel in self._writers:
                 self._deliver_order = None
 
     def _make_waits(self, ps: ProcessState, block: BlockInfo) -> tuple:
@@ -522,15 +517,11 @@ class Machine:
         moves: list[Move] = []
         if not self._senders:
             return moves
-        order = self._send_order
-        if order is None:
-            order = self._send_order = sorted(self._senders.values(),
-                                              key=_head_key)
         externals = self.externals
         receivers = self._receivers
         counters = self.counters
         readers = self._readers
-        for sends in order:
+        for sends in sorted(self._senders.values(), key=_head_key):
             channel = sends[0].channel
             if channel in readers:
                 if externals[channel].can_accept():
