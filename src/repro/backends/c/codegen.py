@@ -136,8 +136,7 @@ class CCodegen:
     def _site(self, kind: str, span=None, **extra) -> int:
         """Register an error/print site; returns its id (ids start at 1,
         0 is reserved for the generic esp_fail message)."""
-        entry: dict = {"kind": kind,
-                       "span": str(span) if span is not None else None}
+        entry: dict = {"kind": kind, "span": span}
         entry.update(extra)
         self._sites.append(entry)
         return len(self._sites)
@@ -1637,10 +1636,9 @@ def _collect_binders(pattern: ast.Pattern, acc: list[dict]) -> None:
     """Binder names/spans/types of an interface entry pattern, in the
     depth-first order both engines pass arguments in."""
     if isinstance(pattern, ast.PBind):
-        span = getattr(pattern, "span", None)
         acc.append({
             "name": pattern.name,
-            "span": str(span) if span is not None else None,
+            "span": getattr(pattern, "span", None),
             "tree": _type_tree(pattern.type),
         })
     elif isinstance(pattern, ast.PRecord):

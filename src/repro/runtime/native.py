@@ -46,24 +46,6 @@ _FLUSH_FN = ctypes.CFUNCTYPE(None, POINTER(c_longlong), c_longlong)
 _STATUS = {0: Status.READY, 1: Status.BLOCKED, 2: Status.DONE}
 
 
-class _SpanText:
-    """A span-shaped wrapper around the manifest's pre-rendered span
-    string, so native errors format exactly like the Python engines'
-    (``f"{span}: {message}"``) and still pass the CLI's
-    ``span.filename`` caret-diagnostic probe."""
-
-    filename = None
-
-    def __init__(self, text: str):
-        self._text = text
-
-    def __str__(self) -> str:
-        return self._text
-
-    def __repr__(self) -> str:
-        return f"_SpanText({self._text!r})"
-
-
 # ---------------------------------------------------------------------------
 # Value codec: the self-describing long-long encoding shared with the
 # generated code (see runtime_c.py, "event ring + value codec").
@@ -443,7 +425,7 @@ class NativeMachine:
             return ESPRuntimeError(msg.decode() if msg else "native runtime error")
         site = self._sites[site_id - 1]
         kind = site["kind"]
-        span = _SpanText(site["span"]) if site.get("span") else None
+        span = site["span"]
         if kind == "div":
             return ESPRuntimeError("division by zero", span)
         if kind == "index":
@@ -579,11 +561,10 @@ class NativeMachine:
         Python engines' error when one is missing or does not convert."""
         if len(args) < len(binders):
             binder = binders[len(args)]
-            span = binder.get("span")
             raise ESPRuntimeError(
                 f"external message missing argument for binder "
                 f"'{binder['name']}'",
-                _SpanText(span) if span else None,
+                binder["span"],
             )
         out: list = []
         for binder, raw in zip(binders, args):

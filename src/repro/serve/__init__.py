@@ -8,8 +8,8 @@ one-shot CLI runs.  This package contains the daemon and its parts:
   content-addressed cache key of a verification job;
 * :mod:`repro.serve.cache` — the result cache (memory LRU over a
   content-addressed disk spool);
-* :mod:`repro.serve.worker` — the forked verification worker, with
-  collapse tables retained across jobs (incremental re-verification);
+* :mod:`repro.serve.worker` — the forked verification worker, which
+  runs each job from scratch, as a one-shot ``espc verify`` would;
 * :mod:`repro.serve.daemon` — the asyncio job server;
 * :mod:`repro.serve.client` — the blocking JSON-lines client used by
   ``espc submit`` and the tests.

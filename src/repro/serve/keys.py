@@ -23,9 +23,7 @@ change the explored state graph:
 Channel names, record field names, union tags, and interface entry
 names are *kept*: they are part of the program's external interface
 (messages and verdict text mention them).  Two jobs differing in any
-property, reduction mode, or bound get different keys; the
-visited-store kind is excluded, because the collapse and plain stores
-are both exact.
+property, reduction mode, or bound get different keys.
 
 Caveat, documented in docs/SERVE.md: a cached result's violation text
 was rendered from the *first* submission's source, so an alpha-renamed
@@ -44,6 +42,7 @@ from dataclasses import dataclass
 from repro.ir import nodes as ir
 from repro.ir.nodes import IRProgram
 from repro.lang import ast
+from repro.verify.reduction import parse_reduce
 from repro.verify.state import pack_state
 
 # Bump when the canonical encoding (or anything that feeds the key)
@@ -186,21 +185,14 @@ def canonical_ir_hash(program: IRProgram) -> str:
 
 
 def normalize_reduce(reduce: str | None) -> str | None:
-    """Canonical spelling of a reduction spec ("por,sym" order-free)."""
-    if reduce in (None, "", "none"):
-        return None
-    modes = sorted({part.strip() for part in reduce.split(",") if part.strip()})
-    for mode in modes:
-        if mode not in ("por", "sym"):
-            raise ValueError(f"unknown reduce mode {mode!r}")
-    return ",".join(modes)
+    """Canonical spelling of a reduction spec ("por,sym" order-free;
+    None for no reduction).  An unknown mode raises ``ValueError``."""
+    options = parse_reduce(reduce)
+    return options.label if options else None
 
-
-# The visited-store backends a job may name.
-STORES = ("collapse", "plain")
 
 # JobSpec fields by the type their values must have.
-_TEXT_FIELDS = ("source", "filename", "store")
+_TEXT_FIELDS = ("source", "filename")
 _OPTIONAL_TEXT_FIELDS = ("process", "reduce")
 # Bound fields by their least meaningful value (null lifts the bound).
 _BOUND_FIELDS = {"max_states": 1, "max_depth": 0, "max_objects": 0,
@@ -225,9 +217,7 @@ class JobSpec:
 
     ``process`` switches to the per-process memory-safety harness of
     §5.3, whose extra bounds (``int_domain``, ``array_sizes``,
-    ``max_objects``, ``env_budget``) then join the key.  ``store`` picks
-    the visited-store backend, ``collapse`` or ``plain``; both are
-    exact, so it is excluded from the key.
+    ``max_objects``, ``env_budget``) then join the key.
     """
 
     source: str
@@ -236,7 +226,6 @@ class JobSpec:
     max_states: int | None = 200_000
     max_depth: int | None = None
     reduce: str | None = None
-    store: str = "collapse"
     check_deadlock: bool = True
     quiescence_ok: bool = True
     int_domain: tuple[int, ...] = (0, 1)
@@ -272,11 +261,6 @@ class JobSpec:
             raise _field_error("array_sizes", "a list of sizes >= 0",
                                self.array_sizes)
         normalize_reduce(self.reduce)
-        if self.store not in STORES:
-            raise ValueError(
-                f"unknown visited store {self.store!r}; "
-                f"expected one of {STORES}"
-            )
 
     def properties(self) -> tuple[str, ...]:
         """The property set this job checks, for the cache key."""
@@ -314,8 +298,7 @@ def cache_key(ir_hash: str, spec: JobSpec) -> str:
     """The content address of a job's *result*.
 
     Everything that can change the verdict, the counterexamples, or
-    the reported state/transition counts is folded in; anything proven
-    result-neutral (the store backend) is not.
+    the reported state/transition counts is folded in.
     """
     h = hashlib.sha256()
     parts = (
@@ -335,19 +318,3 @@ def cache_key(ir_hash: str, spec: JobSpec) -> str:
         h.update(part.encode())
         h.update(b"\0")
     return h.hexdigest()
-
-
-def job_key_parts(spec: JobSpec) -> tuple[str, str]:
-    """Compile ``spec.source`` and produce ``(ir_hash, cache_key)``
-    (the daemon computes keys itself so two clients racing on one key
-    coalesce before any worker is involved)."""
-    from repro.api import compile_source
-
-    program = compile_source(spec.source, spec.filename)
-    ir_hash = canonical_ir_hash(program)
-    return ir_hash, cache_key(ir_hash, spec)
-
-
-def job_key(spec: JobSpec) -> str:
-    """Compile ``spec.source`` and produce its cache key."""
-    return job_key_parts(spec)[1]

@@ -2,13 +2,11 @@
 
 The daemon forks a pool of these at startup and *shares them across
 concurrent verifications* — a worker is not tied to a job, it pulls
-whatever the queue holds next.  Long-lived workers are what make
-incremental re-verification cheap: the collapse component tables
-(:class:`repro.verify.collapse.CollapseTables`) persist across jobs,
-so re-verifying an edited program re-interns every unchanged process
-and heap component to its existing table slot instead of re-measuring
-it (interning is injective, so sharing tables between programs is
-sound — each job keeps its own visited set).
+whatever the queue holds next.  A worker carries no state from one job
+to the next: each job compiles its program, builds a fresh machine and
+visited store, and explores it exactly as a one-shot ``espc verify``
+would, so a result body (minus ``worker``) is a pure function of the
+job's spec.
 
 Crash discipline: a worker that dies mid-job (OOM-killed, SIGKILLed)
 leaves its pipe broken; the daemon respawns the worker and retries the
@@ -23,19 +21,12 @@ import sys
 import traceback
 
 from repro.errors import ESPError
-from repro.verify.collapse import CollapseTables, MachineCollapseStore
-
-# Retained component tables are reset once they cross this many
-# components, bounding a long-lived worker's footprint.
-TABLE_COMPONENT_LIMIT = 1 << 20
 
 
-def result_body(result, spec, report=None) -> dict:
+def result_body(result, report=None) -> dict:
     """The JSON-able result document of one exploration — the thing the
-    cache stores.  Built from an ``ExploreResult`` by both the worker
-    and the differential tests' serial reference runs, so "byte
-    identical" comparisons are about the *exploration*, not about two
-    formatting functions."""
+    cache stores, built from an ``ExploreResult`` (plus the §5.3
+    harness report of a ``process`` job)."""
     body = {
         "ok": result.ok,
         "verdict": "ok" if result.ok else "violations",
@@ -54,7 +45,6 @@ def result_body(result, spec, report=None) -> dict:
             for v in result.violations
         ],
         "stats": result.stats,
-        "store": spec.store,
     }
     if report is not None:
         body["process_report"] = {
@@ -66,40 +56,24 @@ def result_body(result, spec, report=None) -> dict:
     return body
 
 
-def deterministic_body(body: dict) -> dict:
-    """The spec-determined projection of a result body: verdict,
-    state/transition counts, and full violation text — everything that
-    must be byte-identical no matter which worker ran the job, which
-    visited-store backend held its states, or how warm the retained
-    collapse tables were.  (``stats`` and ``store`` are excluded: table
-    hit/miss counters depend on what a long-lived worker served before,
-    and the store label names the backend — neither is part of the
-    verification *answer*.)"""
-    return {k: v for k, v in body.items()
-            if k not in ("stats", "store", "worker")}
-
-
-def run_job(spec, attempt: int, tables: CollapseTables) -> dict:
+def run_job(spec, attempt: int) -> dict:
     """Execute one verification job; returns the JSON-able result body.
 
     The body is deterministic for a given (canonical program, spec):
     no timestamps, no memory probes that depend on address-space
-    layout — byte-identical across workers and runs, which is what
-    lets the cache serve it verbatim forever.
+    layout, no state left over from earlier jobs — byte-identical
+    across workers and runs, which is what lets the cache serve it
+    verbatim forever.
     """
     from repro.api import compile_source
     from repro.lang.program import frontend
     from repro.runtime.machine import Machine
-    from repro.serve.keys import JobSpec, normalize_reduce
+    from repro.serve.keys import JobSpec
     from repro.verify.environment import default_verification_bridges
     from repro.verify.explorer import Explorer
     from repro.verify.memsafety import build_isolated_machine
 
     assert isinstance(spec, JobSpec)
-    reduce = normalize_reduce(spec.reduce)
-    tables.jobs_served += 1
-    table_reset = tables.reset_if_over(TABLE_COMPONENT_LIMIT)
-
     report = None
     if spec.process is not None:
         front = frontend(spec.source, spec.filename)
@@ -116,23 +90,16 @@ def run_job(spec, attempt: int, tables: CollapseTables) -> dict:
             ),
         )
 
-    store = ("plain" if spec.store == "plain"
-             else MachineCollapseStore(tables=tables))
     result = Explorer(
         machine, max_states=spec.max_states, max_depth=spec.max_depth,
         check_deadlock=spec.check_deadlock,
-        quiescence_ok=spec.quiescence_ok, store=store, reduce=reduce,
+        quiescence_ok=spec.quiescence_ok, reduce=spec.reduce,
     ).explore()
 
-    body = result_body(result, spec, report)
+    body = result_body(result, report)
     # Worker-side observability: NOT part of the cached result (the
     # daemon strips this key before caching — it differs per worker).
-    body["worker"] = {
-        "pid": os.getpid(),
-        "attempt": attempt,
-        "tables": tables.stats(),
-        "table_reset": table_reset,
-    }
+    body["worker"] = {"pid": os.getpid(), "attempt": attempt}
     return body
 
 
@@ -147,7 +114,6 @@ def worker_main(conn) -> None:
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # daemon handles ^C
-    tables = CollapseTables()
     while True:
         try:
             msg = conn.recv()
@@ -158,8 +124,7 @@ def worker_main(conn) -> None:
         job_id = msg.get("id")
         try:
             spec = JobSpec.from_wire(msg["spec"])
-            body = run_job(spec, attempt=msg.get("attempt", 0),
-                           tables=tables)
+            body = run_job(spec, attempt=msg.get("attempt", 0))
             reply = {"id": job_id, "ok": True, "result": body}
         except ESPError as err:
             reply = {"id": job_id, "ok": False, "kind": "compile",

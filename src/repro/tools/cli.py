@@ -45,6 +45,7 @@ from repro.runtime.scheduler import create_scheduler
 from repro.verify.environment import default_verification_bridges
 from repro.verify.explorer import Explorer
 from repro.verify.memsafety import verify_process
+from repro.verify.properties import Violation
 
 
 _SOURCES: dict[str, str] = {}
@@ -118,9 +119,9 @@ def cmd_verify(args) -> int:
         )
     reduce = None if args.reduce in (None, "none") else args.reduce
     if args.process:
-        report = verify_process(_read(args.file), args.process,
-                                max_states=args.max_states, reduce=reduce,
-                                engine=args.engine)
+        report = verify_process(frontend(_read(args.file), args.file),
+                                args.process, max_states=args.max_states,
+                                reduce=reduce, engine=args.engine)
         print(report.summary())
         ok = report.ok
         result = report.result
@@ -273,15 +274,6 @@ def _render_result_summary(body: dict, cached: bool) -> str:
     )
 
 
-def _render_violation(violation: dict) -> str:
-    header = f"[{violation['kind']}] {violation['message']}"
-    trace = violation.get("trace") or []
-    if not trace:
-        return header
-    steps = "\n".join(f"  {i + 1}. {step}" for i, step in enumerate(trace))
-    return f"{header}\ntrace ({len(trace)} steps):\n{steps}"
-
-
 def cmd_submit(args) -> int:
     from repro.serve.client import ServeClient, ServeError
     from repro.serve.keys import JobSpec
@@ -299,7 +291,6 @@ def cmd_submit(args) -> int:
             max_states=args.max_states,
             max_depth=args.max_depth,
             reduce=None if args.reduce in (None, "none") else args.reduce,
-            store=args.store,
         )
     try:
         with ServeClient(args.socket, timeout=args.timeout) as client:
@@ -319,7 +310,7 @@ def cmd_submit(args) -> int:
     body = reply["result"]
     print(_render_result_summary(body, reply.get("cached", False)))
     for violation in body["violations"]:
-        print(_render_violation(violation))
+        print(Violation(**violation))
     if args.stats_json:
         import json
 
@@ -535,11 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_non_negative_int, default=None)
     p.add_argument("--reduce", choices=("por", "sym", "por,sym", "none"),
                    default=None)
-    p.add_argument(
-        "--store", choices=("collapse", "plain"), default="collapse",
-        help="visited-store backend: 'collapse' (default) or the "
-             "uncompressed 'plain' reference; both are exact",
-    )
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the daemon's reply")
     p.add_argument("--shutdown", action="store_true",

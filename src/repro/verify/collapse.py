@@ -77,9 +77,6 @@ class ComponentTable:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self.index_of)
-
     def intern(self, comp, size_seen: set[int]) -> int:
         index = self.index_of.get(comp)
         if index is None:
@@ -100,77 +97,23 @@ class ComponentTable:
         }
 
 
-class CollapseTables:
-    """The four component tables of a :class:`MachineCollapseStore`,
-    bundled so a long-lived process (an ``espc serve`` worker) can
-    retain them across verification jobs: re-verifying an edited
-    program re-interns every *unchanged* component to its existing
-    index instead of re-measuring and re-storing it.  Interning is
-    injective regardless of what else the tables hold, so sharing them
-    between programs is sound — each store still keeps its own visited
-    set.
-
-    ``size_seen`` travels with the tables because the payload-byte
-    accounting deduplicates against the components the tables keep
-    alive.  ``reset_if_over`` bounds long-lived growth: once the
-    component count crosses the limit, the tables start over (the next
-    job simply re-interns from scratch)."""
-
-    __slots__ = ("procs", "objects", "vectors", "exts", "size_seen",
-                 "resets", "jobs_served")
-
-    def __init__(self):
-        self.resets = 0
-        self.jobs_served = 0
-        self._fresh()
-
-    def _fresh(self) -> None:
-        self.procs = ComponentTable("process")
-        self.objects = ComponentTable("heap-object")
-        self.vectors = ComponentTable("heap-vector")
-        self.exts = ComponentTable("external")
-        self.size_seen: set[int] = set()
-
-    def component_count(self) -> int:
-        return (len(self.procs) + len(self.objects) + len(self.vectors)
-                + len(self.exts))
-
-    def reset_if_over(self, limit: int) -> bool:
-        if self.component_count() <= limit:
-            return False
-        self._fresh()
-        self.resets += 1
-        return True
-
-    def stats(self) -> dict:
-        return {
-            "components": self.component_count(),
-            "resets": self.resets,
-            "jobs_served": self.jobs_served,
-        }
-
-
 class MachineCollapseStore:
     """Collapse-compressed visited store for plain :class:`Machine`
-    canonical states ``(procs, heap_entries, ext)``.
-
-    ``tables`` plugs in a retained :class:`CollapseTables` bundle
-    (fresh tables are built otherwise)."""
+    canonical states ``(procs, heap_entries, ext)``."""
 
     kind = "collapse"
 
     __slots__ = ("procs", "objects", "vectors", "exts", "_seen",
-                 "_key_bytes", "_size_seen", "_tables")
+                 "_key_bytes", "_size_seen")
 
-    def __init__(self, tables: CollapseTables | None = None):
-        self._tables = tables if tables is not None else CollapseTables()
-        self.procs = self._tables.procs
-        self.objects = self._tables.objects
-        self.vectors = self._tables.vectors
-        self.exts = self._tables.exts
+    def __init__(self):
+        self.procs = ComponentTable("process")
+        self.objects = ComponentTable("heap-object")
+        self.vectors = ComponentTable("heap-vector")
+        self.exts = ComponentTable("external")
         self._seen: set = set()
         self._key_bytes = 0
-        self._size_seen = self._tables.size_seen
+        self._size_seen: set[int] = set()
 
     def add(self, state) -> bool:
         """Intern the state's components; True when the state is new."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.errors import ESPRuntimeError
 from repro.runtime.external import ExternalReader, ExternalWriter
-from repro.runtime.interp import Status
 from repro.runtime.machine import Machine
 from repro.verify.state import canonical_state
 
@@ -211,8 +210,3 @@ class CoupledSystem:
     @property
     def processes(self):
         return [ps for machine in self.machines for ps in machine.processes]
-
-    def quiescent(self) -> bool:
-        return all(
-            ps.status is not Status.READY for ps in self.processes
-        )

@@ -8,15 +8,13 @@ daemon's command line, so scanning ``/proc`` for the unique socket path
 finds every process the daemon is responsible for.
 
 ``serial_reference`` computes the ground truth a daemon answer must
-match: the same job run to completion in *this* process with fresh
-collapse tables and the in-memory store — i.e. what a one-shot
-``espc verify`` of the program computes.
+match: the same job run to completion in *this* process — what a
+one-shot ``espc verify`` of the program computes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import subprocess
@@ -25,8 +23,7 @@ from types import SimpleNamespace
 
 from repro.serve.client import ServeClient, wait_for_server
 from repro.serve.keys import JobSpec
-from repro.serve.worker import deterministic_body, run_job
-from repro.verify.collapse import CollapseTables
+from repro.serve.worker import run_job
 
 
 @contextlib.contextmanager
@@ -83,12 +80,12 @@ def processes_matching(marker: str) -> list[int]:
 
 
 def serial_reference(spec: JobSpec) -> dict:
-    """The deterministic result this spec must produce, computed by a
-    fresh in-process run with the default in-memory store — the serial
+    """The result body this spec must produce, ``stats`` included: the
+    job run in this process, minus the worker's provenance — the serial
     ``espc verify`` ground truth for the differential tests."""
-    reference_spec = dataclasses.replace(spec, store="collapse")
-    body = run_job(reference_spec, attempt=0, tables=CollapseTables())
-    return deterministic_body(body)
+    body = run_job(spec, 0)
+    del body["worker"]
+    return body
 
 
 def canonical_json(body: dict) -> str:

@@ -51,6 +51,7 @@ from repro import (
 from repro.backends.c import generate_c
 from repro.backends.c.build import find_cc
 from repro.errors import ESPError
+from repro.lang.source import Span
 from repro.runtime.external import CallbackWriter
 from repro.runtime.machine import ENGINES
 from repro.sim.fabric import FabricConfig, run_fabric
@@ -461,17 +462,22 @@ process p {
 def test_oversized_runtime_fill_is_one_spanned_error_on_every_engine():
     # The typechecker bounds only fill sizes it can fold; a size
     # computed at run time one past MAX_ARRAY_SIZE must end in the same
-    # diagnostic on every engine, before anything is allocated.
+    # diagnostic on every engine, before anything is allocated.  The
+    # span itself must match too: the CLI renders its source line and
+    # caret from it.
     errors = {}
     for engine in OFFER_ENGINES:
         machine = create_machine(compile_source(_OVERSIZED_FILL, "fill.esp"),
                                  engine=engine)
         with pytest.raises(ESPError) as info:
             create_scheduler(machine).run()
-        errors[engine] = (type(info.value).__name__, str(info.value))
-    assert errors["ast"] == (
+        errors[engine] = (type(info.value).__name__, str(info.value),
+                          info.value.span)
+    name, text, span = errors["ast"]
+    assert (name, text) == (
         "ESPRuntimeError",
         "fill.esp:3:25: array size 1048577 exceeds the limit of 1048576 "
         "elements",
     )
+    assert isinstance(span, Span)
     assert len(set(errors.values())) == 1, errors

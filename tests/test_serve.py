@@ -23,7 +23,6 @@ import pytest
 
 from repro.serve.client import ServeClient
 from repro.serve.keys import JobSpec
-from repro.serve.worker import deterministic_body
 from repro.vmmc.retransmission import protocol_source
 from tests.serve_util import (
     canonical_json,
@@ -42,18 +41,21 @@ ALPHA_RENAMED_OK = OK_SOURCE.replace("x", "value").replace("$n", "$count") \
 
 
 def test_submit_matches_serial_verify(tmp_path):
+    # One worker runs all four jobs in turn, so anything one job left
+    # behind in it would show in the next job's answer: each whole
+    # result, stats included, must equal a serial run of its spec.
     specs = [
         JobSpec(source=OK_SOURCE),
         JobSpec(source=VIOLATING_SOURCE),
-        JobSpec(source=OK_SOURCE, store="plain"),
+        JobSpec(source=OK_SOURCE, process="consumer"),
         JobSpec(source=protocol_source(2, 2), quiescence_ok=False),
     ]
-    with daemon_process(tmp_path) as daemon:
+    with daemon_process(tmp_path, workers=1) as daemon:
         with ServeClient(daemon.socket) as client:
             for spec in specs:
                 reply = client.submit(spec, check=True)
                 assert reply["ok"], reply
-                assert canonical_json(deterministic_body(reply["result"])) \
+                assert canonical_json(reply["result"]) \
                     == canonical_json(serial_reference(spec))
 
 
@@ -125,7 +127,7 @@ def test_same_key_race_coalesces_to_one_job(tmp_path):
             assert all(r["ok"] for r in replies)
             a, b = replies[1], replies[2]
             assert canonical_json(a["result"]) == canonical_json(b["result"])
-            assert canonical_json(deterministic_body(a["result"])) \
+            assert canonical_json(a["result"]) \
                 == canonical_json(serial_reference(racer))
             stats = client.stats()
             assert stats["jobs"]["coalesced"] == 1
@@ -143,30 +145,19 @@ def test_compile_error_reply(tmp_path):
 
 
 def test_unknown_job_field_is_a_bad_request(tmp_path):
-    # A field JobSpec does not have (``parallel``, which older clients
-    # sent) is refused by name, and the daemon keeps serving.
-    stale = dict(JobSpec(source=OK_SOURCE).to_wire(), parallel=2)
+    # A field JobSpec does not have is refused by name, and the daemon
+    # keeps serving: ``parallel`` and ``store``, which older clients
+    # sent, are not silently ignored.
+    stale_fields = {"parallel": 2, "store": "plain"}
     with daemon_process(tmp_path) as daemon:
         with ServeClient(daemon.socket) as client:
-            reply = client.submit(stale)
-            assert reply["ok"] is False
-            assert reply["kind"] == "bad-request", reply
-            assert "'parallel'" in reply["error"], reply["error"]
-            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
-
-
-def test_unknown_store_is_a_bad_request(tmp_path):
-    # Only the collapse and plain stores exist: any other store name,
-    # the removed disk store included, is refused by name instead of
-    # silently running as collapse, and the daemon keeps serving.
-    with daemon_process(tmp_path) as daemon:
-        with ServeClient(daemon.socket) as client:
-            for store in ("disk", "bogus"):
-                wire = dict(JobSpec(source=OK_SOURCE).to_wire(), store=store)
-                reply = client.submit(wire)
+            for name, value in stale_fields.items():
+                stale = dict(JobSpec(source=OK_SOURCE).to_wire(),
+                             **{name: value})
+                reply = client.submit(stale)
                 assert reply["ok"] is False
                 assert reply["kind"] == "bad-request", reply
-                assert repr(store) in reply["error"], reply["error"]
+                assert repr(name) in reply["error"], reply["error"]
             assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
@@ -177,7 +168,7 @@ def test_mistyped_job_fields_are_bad_requests(tmp_path):
     # daemon keeps serving.
     mistyped = {
         "source": 5, "filename": None, "process": 7, "reduce": ["por"],
-        "store": 4, "max_states": "many", "max_depth": "deep",
+        "max_states": "many", "max_depth": "deep",
         "max_objects": True, "env_budget": 2.5, "check_deadlock": "yes",
         "quiescence_ok": 1, "int_domain": ["0", "1"], "array_sizes": 3,
     }
@@ -204,8 +195,7 @@ def test_daemon_environment_does_not_pick_the_engine(tmp_path):
             with ServeClient(daemon.socket) as client:
                 replies = client.submit_many(specs)
         assert all(reply["ok"] for reply in replies), replies
-        bodies.append([canonical_json(deterministic_body(reply["result"]))
-                       for reply in replies])
+        bodies.append([canonical_json(reply["result"]) for reply in replies])
     assert bodies[0] == bodies[1]
 
 
@@ -311,7 +301,7 @@ def test_worker_sigkill_mid_job_retries_cleanly(tmp_path):
             # The retry, on a respawned worker, gives the exact serial
             # answer.
             assert reply["worker"]["attempt"] == 1
-            assert canonical_json(deterministic_body(reply["result"])) \
+            assert canonical_json(reply["result"]) \
                 == canonical_json(serial_reference(spec))
             stats = client.stats()
             assert stats["jobs"]["retried"] == 1
@@ -333,7 +323,6 @@ def test_shutdown_under_load_leaves_no_orphans_or_files(tmp_path):
     for i in range(12):
         source = protocol_source(2 + i % 2, 3)
         specs.append(JobSpec(source=source, quiescence_ok=False,
-                             store="plain" if i % 3 == 0 else "collapse",
                              max_states=50_000 + i))
     with daemon_process(tmp_path, workers=2) as daemon:
         with ServeClient(daemon.socket) as client:

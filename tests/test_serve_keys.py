@@ -21,7 +21,12 @@ from repro.api import compile_source
 from repro.lang.parser import parse
 from repro.lang.pretty import print_program
 from repro.serve.cache import ResultCache
-from repro.serve.keys import JobSpec, cache_key, canonical_ir_hash
+from repro.serve.keys import (
+    JobSpec,
+    cache_key,
+    canonical_ir_hash,
+    normalize_reduce,
+)
 from tests.strategies import esp_programs
 
 
@@ -131,7 +136,6 @@ _KEY_CHANGING = [
 # Proven result-neutral: identical results for every value, so they
 # must coalesce onto one key.
 _KEY_NEUTRAL = [
-    {"store": "plain"},
     {"filename": "elsewhere.esp"},
 ]
 
@@ -189,6 +193,12 @@ def test_reduce_spelling_is_normalized():
     a = cache_key(ir_hash, JobSpec(source=_SOURCE, reduce="por,sym"))
     b = cache_key(ir_hash, JobSpec(source=_SOURCE, reduce="sym,por"))
     assert a == b
+    spellings = {None: None, "": None, "none": None, " por ": "por",
+                 "sym,": "sym", "sym , por,por": "por,sym"}
+    for spelling, canonical in spellings.items():
+        assert normalize_reduce(spelling) == canonical, spelling
+    with pytest.raises(ValueError, match="'bogus'"):
+        JobSpec(source=_SOURCE, reduce="por,bogus")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,8 +6,8 @@ derandomized hypothesis programs — with every job duplicated across
 clients so cache hits, in-flight coalescing, and same-key races all
 actually happen.  The contract under that load:
 
-* every reply's verdict, state/transition counts, and full violation
-  text (messages AND traces) are byte-identical to a serial
+* every reply's whole result (verdict, state/transition counts, full
+  violation text with traces, and stats) is byte-identical to a serial
   ``espc verify``-equivalent run of the same spec in this process;
 * two replies for the same cache key are byte-identical to each other,
   no matter which client got the cached copy and which raced;
@@ -25,9 +25,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from repro.api import compile_source
 from repro.serve.client import ServeClient
-from repro.serve.keys import JobSpec, job_key
-from repro.serve.worker import deterministic_body
+from repro.serve.keys import JobSpec, cache_key, canonical_ir_hash
 from repro.vmmc.retransmission import protocol_source
 from tests.serve_util import (
     canonical_json,
@@ -51,22 +51,21 @@ def _corpus() -> list[JobSpec]:
         specs.append(JobSpec(source=source, filename=name))
     specs.append(JobSpec(source=(ESP_DIR / "vmmc.esp").read_text(),
                          filename="vmmc.esp", max_states=2_000))
-    # Leg 2: the retransmission family, spread over stores and
-    # reduction modes (quiescence_ok=False turns protocol termination
-    # into a deadlock verdict: violation traces included).
+    # Leg 2: the retransmission family, plain and reduced
+    # (quiescence_ok=False turns protocol termination into a deadlock
+    # verdict: violation traces included).
     family = [(1, 2), (2, 3), (3, 4)]
     for window, messages in family:
         source = protocol_source(window, messages)
         specs.append(JobSpec(source=source, quiescence_ok=False))
         specs.append(JobSpec(source=source, quiescence_ok=False,
                              reduce="por,sym"))
-        specs.append(JobSpec(source=source, quiescence_ok=False,
-                             store="plain"))
-    # Leg 3: chains with ok and violating verdicts at several sizes.
+    # Leg 3: chains with ok and violating verdicts at several sizes,
+    # and one under the per-process memory-safety harness.
     for n in (2, 4, 6):
         specs.append(JobSpec(source=chain_source(n)))
         specs.append(JobSpec(source=chain_source(n, assert_bound=1)))
-    specs.append(JobSpec(source=chain_source(5), store="plain"))
+    specs.append(JobSpec(source=chain_source(5), process="consumer"))
     return specs
 
 
@@ -76,7 +75,11 @@ def test_concurrent_clients_match_serial_verify(tmp_path):
     references = {
         id(spec): canonical_json(serial_reference(spec)) for spec in specs
     }
-    unique_keys = {job_key(spec) for spec in specs}
+    unique_keys = {
+        cache_key(canonical_ir_hash(compile_source(spec.source,
+                                                   spec.filename)), spec)
+        for spec in specs
+    }
 
     # Duplicate and deal across clients (deterministic shuffle): the
     # same spec lands on different connections, so identical keys race.
@@ -114,7 +117,7 @@ def test_concurrent_clients_match_serial_verify(tmp_path):
             for spec, reply in lane:
                 total += 1
                 assert reply["ok"], reply
-                body = canonical_json(deterministic_body(reply["result"]))
+                body = canonical_json(reply["result"])
                 # Byte-identical to the serial ground truth ...
                 assert body == references[id(spec)], (
                     f"daemon diverged from serial verify for "
@@ -122,8 +125,7 @@ def test_concurrent_clients_match_serial_verify(tmp_path):
                 )
                 # ... and to every other reply for the same key, cached,
                 # coalesced, or freshly explored alike.
-                whole = canonical_json(reply["result"])
-                assert by_key.setdefault(reply["key"], whole) == whole
+                assert by_key.setdefault(reply["key"], body) == body
         assert total == len(jobs)
 
         with ServeClient(daemon.socket) as client:
@@ -155,12 +157,11 @@ def hypothesis_daemon(tmp_path_factory):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(esp_programs())
 def test_generated_programs_daemon_matches_serial(hypothesis_daemon, source):
-    # Store backend varies with the program so the plain store sees the
-    # generated corpus too (deterministic: keyed on the source length).
-    store = "plain" if len(source) % 2 else "collapse"
-    spec = JobSpec(source=source, quiescence_ok=False, store=store)
+    # One long-lived daemon serves every generated program, so each
+    # answer also shows that no earlier job leaked into a later one.
+    spec = JobSpec(source=source, quiescence_ok=False)
     with ServeClient(hypothesis_daemon.socket) as client:
         reply = client.submit(spec, check=True)
     assert reply["ok"], reply
-    assert canonical_json(deterministic_body(reply["result"])) \
+    assert canonical_json(reply["result"]) \
         == canonical_json(serial_reference(spec))

@@ -129,6 +129,15 @@ def test_jobs_flag_is_rejected(esp_file, command, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_submit_store_flag_is_rejected(esp_file, capsys):
+    # A daemon job runs on the default visited store, as espc verify
+    # does; submit has no flag to pick another.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["submit", esp_file, "--store", "plain"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --store plain" in capsys.readouterr().err
+
+
 def test_verify_process_memory_safety(tmp_path, capsys):
     path = tmp_path / "worker.esp"
     path.write_text("""
@@ -140,6 +149,24 @@ process peer { out( inC, { 1 -> 0 }); in( outC, $x); print(x); }
 """)
     assert main(["verify", str(path), "--process", "worker"]) == 0
     assert "memory safety of 'worker'" in capsys.readouterr().out
+
+
+def test_verify_process_names_the_file(tmp_path, capsys):
+    # The per-process check locates a violation and a compile error in
+    # the file it was given, as the whole-program check does, and the
+    # compile error carries its source line and caret.
+    path = tmp_path / "bad.esp"
+    path.write_text("channel c: int\n"
+                    "process p { out( c, 1); }\n"
+                    "process q { in( c, $x); assert( x == 2); }\n")
+    assert main(["verify", str(path), "--process", "q"]) == 1
+    assert f"[assertion] {path}:3:25: assertion failed" \
+        in capsys.readouterr().out
+    path.write_text("channel c: int\nprocess p { out( c, true); }\n")
+    assert main(["verify", str(path), "--process", "p"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2:21: type mismatch" in err
+    assert "process p { out( c, true); }" in err and "^" in err
 
 
 def test_stats(esp_file, capsys):
