@@ -145,19 +145,31 @@ def test_compile_error_reply(tmp_path):
 
 
 def test_unknown_job_field_is_a_bad_request(tmp_path):
-    # A field JobSpec does not have is refused by name, and the daemon
-    # keeps serving: ``parallel`` and ``store``, which older clients
-    # sent, are not silently ignored.
-    stale_fields = {"parallel": 2, "store": "plain"}
+    # A field JobSpec does not have (``parallel``, which older clients
+    # sent) is refused by name, and the daemon keeps serving.
+    stale = dict(JobSpec(source=OK_SOURCE).to_wire(), parallel=2)
     with daemon_process(tmp_path) as daemon:
         with ServeClient(daemon.socket) as client:
-            for name, value in stale_fields.items():
-                stale = dict(JobSpec(source=OK_SOURCE).to_wire(),
-                             **{name: value})
-                reply = client.submit(stale)
+            reply = client.submit(stale)
+            assert reply["ok"] is False
+            assert reply["kind"] == "bad-request", reply
+            assert "'parallel'" in reply["error"], reply["error"]
+            assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
+
+
+def test_unknown_store_is_a_bad_request(tmp_path):
+    # A job no longer names its visited store: ``store``, which older
+    # clients sent, is an unknown field whatever its value (the once
+    # valid ``collapse`` and ``plain`` included), refused by name
+    # instead of silently ignored, and the daemon keeps serving.
+    with daemon_process(tmp_path) as daemon:
+        with ServeClient(daemon.socket) as client:
+            for store in ("collapse", "plain", "disk", "bogus"):
+                wire = dict(JobSpec(source=OK_SOURCE).to_wire(), store=store)
+                reply = client.submit(wire)
                 assert reply["ok"] is False
                 assert reply["kind"] == "bad-request", reply
-                assert repr(name) in reply["error"], reply["error"]
+                assert "'store'" in reply["error"], reply["error"]
             assert client.submit(JobSpec(source=OK_SOURCE), check=True)["ok"]
 
 
