@@ -63,8 +63,3 @@ class MemorySafetyError(ESPRuntimeError):
 
 class AssertionFailure(ESPRuntimeError):
     """An ESP ``assert`` evaluated to false."""
-
-
-class DeadlockError(ESPRuntimeError):
-    """All processes blocked with no external event able to unblock them."""
-

@@ -302,7 +302,7 @@ def _compile_alloc(kind, items, mutable, tag, proc, consts):
             if isinstance(value, Ref) and not fresh:
                 heap.link(value)
             data.append(value)
-        return heap.alloc(kind, data, mutable, tag=tag, owner=ps.pid)
+        return heap.alloc(kind, data, mutable, tag=tag)
 
     return alloc
 
@@ -324,7 +324,7 @@ def _compile_fill(e: ast.ArrayFill, proc, consts):
                 heap.link(value)
             if fresh and count == 0:
                 heap.unlink(value)
-        return heap.alloc("array", [value] * count, mutable, owner=ps.pid)
+        return heap.alloc("array", [value] * count, mutable)
 
     return fill
 
@@ -341,7 +341,7 @@ def _compile_cast(e: ast.Cast, proc, consts):
         if elide and not fresh and heap.exclusively_owned(value):
             heap.set_mutability_deep(value, target_mutable)
             return value
-        copy = heap.deep_copy(value, mutable=target_mutable, owner=ps.pid)
+        copy = heap.deep_copy(value, mutable=target_mutable)
         if fresh and isinstance(value, Ref):
             heap.unlink(value)
         return copy
@@ -761,7 +761,7 @@ def _compile_entry_build(pattern, consts, pos):
 
         def record(machine, args):
             data = [sub(machine, args) for sub in subs]
-            return machine.heap.alloc("record", data, mutable=False, owner=-1)
+            return machine.heap.alloc("record", data, mutable=False)
 
         return record
     if isinstance(pattern, ast.PUnion):
@@ -770,8 +770,7 @@ def _compile_entry_build(pattern, consts, pos):
 
         def union(machine, args):
             inner = sub(machine, args)
-            return machine.heap.alloc("union", [inner], mutable=False,
-                                      tag=tag, owner=-1)
+            return machine.heap.alloc("union", [inner], mutable=False, tag=tag)
 
         return union
     span = pattern.span
@@ -793,7 +792,7 @@ def compile_convert(t):
             if not isinstance(raw, (tuple, list)) or len(raw) != arity:
                 raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
             data = [sub(heap, item) for sub, item in zip(subs, raw)]
-            return heap.alloc("record", data, mutable, owner=-1)
+            return heap.alloc("record", data, mutable)
 
         return record
     if isinstance(t, UnionType):
@@ -807,8 +806,7 @@ def compile_convert(t):
             sub = subs.get(tag) if isinstance(tag, str) else None
             if sub is None:
                 raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
-            return heap.alloc("union", [sub(heap, inner)], mutable, tag=tag,
-                              owner=-1)
+            return heap.alloc("union", [sub(heap, inner)], mutable, tag=tag)
 
         return union
     if isinstance(t, ArrayType):
@@ -819,7 +817,7 @@ def compile_convert(t):
             if not isinstance(raw, (tuple, list)):
                 raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
             return heap.alloc("array", [sub(heap, item) for item in raw],
-                              mutable, owner=-1)
+                              mutable)
 
         return array
 

@@ -57,12 +57,12 @@ class CowCounters:
 def _record_of(obj: HeapObject) -> tuple:
     """The immutable, structurally-shareable record of one object."""
     return (obj.kind, obj.tag, obj.mutable, obj.refcount, obj.live,
-            tuple(obj.data), obj.owner)
+            tuple(obj.data))
 
 
 def _object_of(oid: int, rec: tuple) -> HeapObject:
-    kind, tag, mutable, refcount, live, data, owner = rec
-    obj = HeapObject(oid, kind, list(data), mutable, tag, owner)
+    kind, tag, mutable, refcount, live, data = rec
+    obj = HeapObject(oid, kind, list(data), mutable, tag)
     obj.refcount = refcount
     obj.live = live
     return obj
@@ -106,12 +106,12 @@ class Heap:
         return oid
 
     def alloc(self, kind: str, data: list, mutable: bool,
-              tag: str | None = None, owner: int | None = None) -> Ref:
+              tag: str | None = None) -> Ref:
         """Allocate a new object with refcount 1.  ``data`` children must
         already carry their embedding reference (the evaluator manages
         fresh-vs-borrowed accounting)."""
         oid = self._new_oid()
-        self.objects[oid] = HeapObject(oid, kind, data, mutable, tag, owner)
+        self.objects[oid] = HeapObject(oid, kind, data, mutable, tag)
         self.counters.allocations += 1
         self._touched.add(oid)
         return Ref(oid)
@@ -171,8 +171,7 @@ class Heap:
 
     # -- deep operations ------------------------------------------------------------
 
-    def deep_copy(self, ref: Ref, mutable: bool | None = None,
-                  owner: int | None = None) -> Ref:
+    def deep_copy(self, ref: Ref, mutable: bool | None = None) -> Ref:
         """Allocate a recursive copy (the semantics of ``cast`` and of
         cross-heap message delivery in copy mode)."""
         obj = self.get(ref)
@@ -180,10 +179,10 @@ class Heap:
         data = []
         for v in obj.data:
             if isinstance(v, Ref):
-                data.append(self.deep_copy(v, mutable, owner))
+                data.append(self.deep_copy(v, mutable))
             else:
                 data.append(v)
-        return self.alloc(obj.kind, data, new_mutable, obj.tag, owner)
+        return self.alloc(obj.kind, data, new_mutable, obj.tag)
 
     def set_mutability_deep(self, ref: Ref, mutable: bool) -> None:
         """Flip flavor in place (elided cast); caller checked uniqueness."""

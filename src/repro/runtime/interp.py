@@ -186,7 +186,7 @@ class Evaluator:
         if isinstance(e, ast.UnionLit):
             value, fresh = self.eval(e.value, ps)
             self._embed(value, fresh)
-            return self.heap.alloc("union", [value], e.mutable, tag=e.tag, owner=ps.pid), True
+            return self.heap.alloc("union", [value], e.mutable, tag=e.tag), True
         if isinstance(e, ast.ArrayLit):
             return self._alloc_items("array", e.items, e.mutable, None, ps, e)
         if isinstance(e, ast.ArrayFill):
@@ -263,7 +263,7 @@ class Evaluator:
             value, fresh = self.eval(item, ps)
             self._embed(value, fresh)
             data.append(value)
-        return self.heap.alloc(kind, data, mutable, tag=tag, owner=ps.pid), True
+        return self.heap.alloc(kind, data, mutable, tag=tag), True
 
     def _eval_fill(self, e: ast.ArrayFill, ps: ProcessState) -> tuple[Value, bool]:
         count, _ = self.eval(e.count, ps)
@@ -279,7 +279,7 @@ class Evaluator:
             if fresh and count == 0:
                 self.heap.unlink(fill)
         data = [fill] * count
-        return self.heap.alloc("array", data, e.mutable, owner=ps.pid), True
+        return self.heap.alloc("array", data, e.mutable), True
 
     def _eval_cast(self, e: ast.Cast, ps: ProcessState) -> tuple[Value, bool]:
         value, fresh = self.eval(e.operand, ps)
@@ -289,7 +289,7 @@ class Evaluator:
             # The optimizer proved the source dead afterwards: flip in place.
             self.heap.set_mutability_deep(value, target_mutable)
             return value, True
-        copy = self.heap.deep_copy(value, mutable=target_mutable, owner=ps.pid)
+        copy = self.heap.deep_copy(value, mutable=target_mutable)
         self.release_temp(value, fresh)
         return copy, True
 
@@ -700,11 +700,11 @@ def build_from_pattern(evaluator: Evaluator, env: ProcessState,
     if isinstance(pattern, ast.PRecord):
         data = [build_from_pattern(evaluator, env, item, args_iter)
                 for item in pattern.items]
-        return evaluator.heap.alloc("record", data, mutable=False, owner=-1)
+        return evaluator.heap.alloc("record", data, mutable=False)
     if isinstance(pattern, ast.PUnion):
         inner = build_from_pattern(evaluator, env, pattern.value, args_iter)
         return evaluator.heap.alloc("union", [inner], mutable=False,
-                                    tag=pattern.tag, owner=-1)
+                                    tag=pattern.tag)
     raise ESPRuntimeError("unhandled interface pattern", pattern.span)
 
 
@@ -716,7 +716,7 @@ def build_value(heap: Heap, t: Type, raw) -> Value:
         if not isinstance(raw, (tuple, list)) or len(raw) != len(t.fields):
             raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
         data = [build_value(heap, ft, item) for (_, ft), item in zip(t.fields, raw)]
-        return heap.alloc("record", data, t.mutable, owner=-1)
+        return heap.alloc("record", data, t.mutable)
     if isinstance(t, UnionType):
         if not isinstance(raw, (tuple, list)) or len(raw) != 2:
             raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
@@ -725,12 +725,12 @@ def build_value(heap: Heap, t: Type, raw) -> Value:
         if tag_type is None:
             raise ESPRuntimeError(f"unknown union tag '{tag}' in external data")
         return heap.alloc("union", [build_value(heap, tag_type, inner)],
-                          t.mutable, tag=tag, owner=-1)
+                          t.mutable, tag=tag)
     if isinstance(t, ArrayType):
         if not isinstance(raw, (tuple, list)):
             raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")
         data = [build_value(heap, t.element, item) for item in raw]
-        return heap.alloc("array", data, t.mutable, owner=-1)
+        return heap.alloc("array", data, t.mutable)
     if isinstance(raw, int):  # bools are ints
         return raw
     raise ESPRuntimeError(f"cannot convert {raw!r} to {t}")

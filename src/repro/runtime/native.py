@@ -33,7 +33,7 @@ from ctypes import POINTER, byref, c_char_p, c_int, c_longlong
 
 from repro.backends.c.build import build_shared, cache_dir, find_cc, artifact_key
 from repro.backends.c.codegen import generate_native
-from repro.errors import AssertionFailure, DeadlockError, ESPRuntimeError
+from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.runtime.external import ExternalReader, ExternalWriter
 from repro.runtime.interp import Status, array_size_error
 from repro.runtime.scheduler import RunResult
@@ -364,9 +364,6 @@ class NativeMachine:
     def all_done(self) -> bool:
         return all(ps.status is Status.DONE for ps in self.processes)
 
-    def blocked_processes(self) -> list[_NativeProcess]:
-        return [ps for ps in self.processes if ps.status is Status.BLOCKED]
-
     # -- validation ---------------------------------------------------------------
 
     def _validate_externals(self) -> None:
@@ -640,11 +637,7 @@ class NativeScheduler:
         self.machine = machine
         self.policy = policy
 
-    def run(
-        self,
-        max_transfers: int | None = None,
-        raise_on_deadlock: bool = False,
-    ) -> RunResult:
+    def run(self, max_transfers: int | None = None) -> RunResult:
         machine = self.machine
         machine._validate_externals()
         lib = machine._lib
@@ -670,11 +663,11 @@ class NativeScheduler:
             if rc == 3:
                 raise machine._error_from_site()
             if rc == 0:
-                return self._idle(result, raise_on_deadlock)
+                return result("idle")
             # rc == 6: external move potential — settle it host-side.
             moves = machine._external_moves()
             if not moves:
-                return self._idle(result, raise_on_deadlock)
+                return result("idle")
             if (max_transfers is not None
                     and machine._counter(2) - start_transfers >= max_transfers):
                 return result("limit")
@@ -685,14 +678,3 @@ class NativeScheduler:
             else:
                 move = moves[0]
             machine._apply_external(move)
-
-    def _idle(self, result, raise_on_deadlock: bool) -> RunResult:
-        machine = self.machine
-        if raise_on_deadlock:
-            blocked = machine.blocked_processes()
-            if blocked:
-                names = ", ".join(ps.proc.name for ps in blocked)
-                raise DeadlockError(
-                    f"deadlock: processes blocked with no enabled move: {names}"
-                )
-        return result("idle")

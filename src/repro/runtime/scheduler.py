@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.errors import DeadlockError
 from repro.runtime.machine import Machine, Move, Rendezvous
 
 
@@ -73,11 +72,7 @@ class Scheduler:
             return pool[0]
         return self.rng.choice(pool)
 
-    def run(
-        self,
-        max_transfers: int | None = None,
-        raise_on_deadlock: bool = False,
-    ) -> RunResult:
+    def run(self, max_transfers: int | None = None) -> RunResult:
         """Run until idle (no enabled move), all processes done, or the
         transfer budget is exhausted.
 
@@ -111,13 +106,6 @@ class Scheduler:
                 machine.add_deliveries(moves)
             counters.idle_polls += 1
             if not moves:
-                if raise_on_deadlock and machine.blocked_processes():
-                    names = ", ".join(
-                        ps.proc.name for ps in machine.blocked_processes()
-                    )
-                    raise DeadlockError(
-                        f"deadlock: processes blocked with no enabled move: {names}"
-                    )
                 return RunResult(
                     "idle",
                     counters.transfers - start_transfers,

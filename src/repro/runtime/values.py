@@ -64,10 +64,10 @@ class HeapObject:
     False on free; any later touch is a use-after-free.
     """
 
-    __slots__ = ("oid", "kind", "mutable", "refcount", "live", "data", "tag", "owner")
+    __slots__ = ("oid", "kind", "mutable", "refcount", "live", "data", "tag")
 
     def __init__(self, oid: int, kind: str, data: list, mutable: bool,
-                 tag: str | None = None, owner: int | None = None):
+                 tag: str | None = None):
         self.oid = oid
         self.kind = kind  # "record" | "union" | "array"
         self.data = data
@@ -75,7 +75,6 @@ class HeapObject:
         self.tag = tag
         self.refcount = 1
         self.live = True
-        self.owner = owner
 
     def children(self) -> list[Ref]:
         return [v for v in self.data if isinstance(v, Ref)]

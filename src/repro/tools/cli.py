@@ -30,6 +30,7 @@ as ``espc verify`` would have.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.lang.source import SourceFile
@@ -551,7 +552,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (`espc verify x.esp | head`).  Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ESPError as err:
         print(f"espc: error: {_diagnose(err)}", file=sys.stderr)
         return 2

@@ -19,7 +19,9 @@ differ run-to-run.  Same seed, same search, every time.  States are
 digested through :class:`~repro.verify.collapse.StateKeyer`, whose
 per-component digest cache makes hashing cost proportional to what
 *changed* since the previous state, not to state size — the same trick
-the collapse store uses.
+the collapse store uses.  Every state the store sees, a
+:class:`~repro.verify.coupled.CoupledSystem`'s included, has the one
+``(procs, heap, ext)`` shape the keyer digests.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ class BitstateStore:
     __slots__ = ("bitmap_bits", "hash_count", "_bitmap", "_bits_set",
                  "_states", "_keyer", "_salt_keys")
 
-    def __init__(self, machine, bitmap_bits: int = 1 << 20,
-                 hash_count: int = 2, seed: int = 0):
+    def __init__(self, bitmap_bits: int = 1 << 20, hash_count: int = 2,
+                 seed: int = 0):
         self.bitmap_bits = bitmap_bits
         self.hash_count = hash_count
         self._bitmap = bytearray(bitmap_bits // 8 + 1)
         self._bits_set = 0
         self._states = 0
-        self._keyer = StateKeyer(machine_shape=isinstance(machine, Machine))
+        self._keyer = StateKeyer()
         self._salt_keys = [
             ((seed * 1_000_003 + salt) & 0xFFFFFFFFFFFFFFFF).to_bytes(
                 8, "little")
@@ -121,5 +123,5 @@ class BitstateExplorer(Explorer):
         super().__init__(
             machine, invariants, max_depth=max_depth,
             stop_at_first=stop_at_first, reduce=reduce,
-            store=BitstateStore(machine, bitmap_bits, hash_count, seed),
+            store=BitstateStore(bitmap_bits, hash_count, seed),
         )

@@ -18,7 +18,10 @@ iff equal index).  We apply the same split to ESP's canonical states:
 A visited state is then a packed array of indices (4 bytes each); the
 collapse store is exact, so state counts are identical to the plain
 set-of-canonical-states store (property-tested in
-``tests/test_collapse.py``).
+``tests/test_collapse.py``).  A
+:class:`~repro.verify.coupled.CoupledSystem`'s state has the same
+``(procs, heap, ext)`` shape, so one store keeps it too, the processes
+of all its machines sharing the process table.
 
 :class:`StateKeyer` is the probabilistic counterpart used where exact
 storage is not required: a 16-byte keyed blake2b digest of the state,
@@ -98,8 +101,9 @@ class ComponentTable:
 
 
 class MachineCollapseStore:
-    """Collapse-compressed visited store for plain :class:`Machine`
-    canonical states ``(procs, heap_entries, ext)``."""
+    """Collapse-compressed visited store for canonical states
+    ``(procs, heap_entries, ext)``, a :class:`Machine`'s or a
+    :class:`~repro.verify.coupled.CoupledSystem`'s."""
 
     kind = "collapse"
 
@@ -181,7 +185,12 @@ class MachineCollapseStore:
         others keep their indices from the parent state.  That shortcut
         is sound only while every inherited per-process entry is free of
         heap references (ref entries consume globally-ordered remap
-        slots), which is what the third slot tracks."""
+        slots), which is what the third slot tracks.
+
+        A :class:`~repro.verify.coupled.CoupledSystem` has no fused
+        pass: its state is added as :meth:`add` would add it."""
+        if not isinstance(machine, Machine):
+            return self.add(canonical_state(machine)), None
         sizes = self._size_seen
         intern_proc = self.procs.intern
         objects = machine.heap.objects
@@ -256,69 +265,6 @@ class MachineCollapseStore:
         }
 
 
-class GenericCollapseStore:
-    """Collapse store for machines with their own canonical encoding
-    (e.g. :class:`repro.verify.coupled.CoupledSystem`): the top two
-    tuple levels are interned element-wise, so a coupled system shares
-    per-machine canonical states across global states."""
-
-    kind = "collapse-generic"
-
-    __slots__ = ("table", "_seen", "_key_bytes", "_size_seen")
-
-    _DEPTH = 2
-
-    def __init__(self):
-        self.table = ComponentTable("component")
-        self._seen: set = set()
-        self._key_bytes = 0
-        self._size_seen: set[int] = set()
-
-    def _collapse(self, value, depth: int):
-        if depth and type(value) is tuple:
-            return tuple(self._collapse(v, depth - 1) for v in value)
-        return self.table.intern(value, self._size_seen)
-
-    def add(self, state) -> bool:
-        key = self._collapse(state, self._DEPTH)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._key_bytes += deep_size(key, self._size_seen)
-        return True
-
-    def _lookup(self, value, depth: int):
-        if depth and type(value) is tuple:
-            key = tuple(self._lookup(v, depth - 1) for v in value)
-            return None if any(k is None for k in key) else key
-        return self.table.index_of.get(value)
-
-    def contains(self, state) -> bool:
-        """Non-mutating membership test (see
-        :meth:`MachineCollapseStore.contains`)."""
-        key = self._lookup(state, self._DEPTH)
-        return key is not None and key in self._seen
-
-    def add_current(self, machine, base=None):
-        return self.add(canonical_state(machine)), None
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def memory_bytes(self) -> int:
-        return (self._key_bytes + sys.getsizeof(self._seen)
-                + self.table.payload_bytes + sys.getsizeof(self.table.index_of))
-
-    def stats(self) -> dict:
-        return {
-            "kind": self.kind,
-            "states": len(self._seen),
-            "key_bytes": self._key_bytes,
-            "memory_bytes": self.memory_bytes(),
-            "tables": {self.table.name: self.table.stats()},
-        }
-
-
 class PlainStore:
     """Uncompressed visited store (a set of full canonical states) with
     actual-footprint accounting; the differential reference for the
@@ -361,10 +307,11 @@ class PlainStore:
 
 
 def make_visited_store(machine, kind="collapse"):
-    """The visited store for ``machine``: collapse compression by
-    default, shaped by whether the machine uses the plain-Machine
-    canonical encoding; ``kind="plain"`` selects the uncompressed
-    reference store.  ``kind`` may also be a ready store instance
+    """The visited store for a search of ``machine``: collapse
+    compression by default, ``kind="plain"`` the uncompressed
+    reference store.  Either keeps a :class:`Machine`'s states or a
+    coupled system's, read in ``add_current``, so the choice does not
+    depend on ``machine``.  ``kind`` may also be a ready store instance
     (anything with ``add_current``), which is how bit-state search
     passes its :class:`repro.verify.bitstate.BitstateStore`."""
     if hasattr(kind, "add_current"):
@@ -373,9 +320,7 @@ def make_visited_store(machine, kind="collapse"):
         return PlainStore()
     if kind != "collapse":
         raise ValueError(f"unknown visited-store kind {kind!r}")
-    if isinstance(machine, Machine):
-        return MachineCollapseStore()
-    return GenericCollapseStore()
+    return MachineCollapseStore()
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +339,10 @@ class StateKeyer:
     functions from it.  Two distinct states colliding requires a
     128-bit blake2b collision."""
 
-    __slots__ = ("_digests", "machine_shape", "_key")
+    __slots__ = ("_digests", "_key")
 
-    def __init__(self, seed: int = 0, machine_shape: bool = True):
+    def __init__(self, seed: int = 0):
         self._digests: dict = {}
-        self.machine_shape = machine_shape
         self._key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
     def _component(self, comp) -> bytes:
@@ -411,18 +355,13 @@ class StateKeyer:
 
     def digest(self, state) -> bytes:
         h = blake2b(digest_size=_DIGEST_SIZE, key=self._key)
-        if self.machine_shape:
-            procs, heap, ext = state
-            component = self._component
-            h.update(_U32.pack(len(procs)))
-            for p in procs:
-                h.update(component(p))
-            h.update(_U32.pack(len(heap)))
-            for e in heap:
-                h.update(component(e))
-            h.update(component(ext))
-        else:
-            # Unknown canonical shape: hash the packed state directly
-            # (no per-state caching, so memory stays flat).
-            h.update(pack_state(state))
+        procs, heap, ext = state
+        component = self._component
+        h.update(_U32.pack(len(procs)))
+        for p in procs:
+            h.update(component(p))
+        h.update(_U32.pack(len(heap)))
+        for e in heap:
+            h.update(component(e))
+        h.update(component(ext))
         return h.digest()

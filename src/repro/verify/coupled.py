@@ -12,7 +12,11 @@ that models the wire.
 The coupled system exposes the same exploration interface as a single
 machine — ``run_ready`` / ``enabled_moves`` / ``apply`` / ``snapshot``
 / ``restore`` / ``canonical_state`` — so :class:`repro.verify.Explorer`
-checks the whole multi-node setup exactly as it checks one node.
+checks the whole multi-node setup exactly as it checks one node.  Its
+canonical state is one flat ``(procs, heap, ext)`` state, a single
+machine's shape, so the ordinary collapse, plain and bit-state stores
+keep it; :meth:`CoupledSystem.canonical_state` is the one place that
+knows how the machines are laid out in it.
 """
 
 from __future__ import annotations
@@ -183,10 +187,21 @@ class CoupledSystem:
             link.in_flight = list(buffered)
 
     def canonical_state(self):
-        return (
-            tuple(canonical_state(machine) for machine in self.machines),
-            tuple(tuple(link.in_flight) for link in self.links),
-        )
+        """A :class:`Machine`'s ``(procs, heap, ext)`` shape, so the
+        ordinary visited stores keep coupled states: the machines'
+        processes and heap entries in machine order, and in ``ext``
+        each machine's heap length and external state, then the link
+        buffers.  The heap lengths mark where one machine's entries
+        end (two machines can leak the same object), so no two
+        coupled states share a key."""
+        procs, heap, ext = [], [], []
+        for machine in self.machines:
+            m_procs, m_heap, m_ext = canonical_state(machine)
+            procs.extend(m_procs)
+            heap.extend(m_heap)
+            ext.append((len(m_heap), m_ext))
+        ext.extend(tuple(link.in_flight) for link in self.links)
+        return tuple(procs), tuple(heap), tuple(ext)
 
     def blocked_processes(self):
         blocked = []

@@ -24,6 +24,10 @@ from repro.lang import ast
 from repro.lang.types import ArrayType, BoolType, IntType, RecordType, Type, UnionType
 from repro.runtime.external import ExternalReader, ExternalWriter
 
+# The most argument choices the default environment offers per
+# interface entry.
+MAX_MESSAGES_PER_ENTRY = 8
+
 
 def enumerate_values(
     t: Type,
@@ -94,7 +98,6 @@ def default_verification_bridges(
     program,
     int_domain: tuple[int, ...] = (0, 1),
     array_sizes: tuple[int, ...] = (1,),
-    max_messages_per_entry: int = 8,
 ) -> dict[str, ExternalWriter | ExternalReader]:
     """A default environment for whole-program verification: every
     external-writer channel gets an always-ready :class:`ChoiceWriter`
@@ -112,7 +115,7 @@ def default_verification_bridges(
                 pattern = program.interfaces[channel][entry_name]
                 for args in entry_arg_choices(
                     pattern, int_domain, array_sizes,
-                    limit=max_messages_per_entry,
+                    limit=MAX_MESSAGES_PER_ENTRY,
                 ):
                     choices.append((entry_name, args))
             bridges[channel] = ChoiceWriter(entries, choices)

@@ -41,6 +41,10 @@ from repro.verify.environment import (
 )
 from repro.verify.explorer import Explorer, ExploreResult
 
+# The most messages an isolated process's environment offers per
+# channel (per interface entry on a real external interface).
+MAX_MESSAGES_PER_CHANNEL = 16
+
 
 @dataclass
 class MemSafetyReport:
@@ -148,7 +152,6 @@ def build_isolated_machine(
     process_name: str,
     int_domain: tuple[int, ...] = (0, 1),
     array_sizes: tuple[int, ...] = (1,),
-    max_messages_per_channel: int = 16,
     max_objects: int | None = 24,
     opt_level: OptLevel = OptLevel.FULL,
     env_budget: int | None = None,
@@ -173,7 +176,7 @@ def build_isolated_machine(
                 shapes = [p.shape for p in program.ports.ports.get(channel, [])]
                 for value in enumerate_values(
                     info.message_type, int_domain, array_sizes,
-                    limit=max_messages_per_channel,
+                    limit=MAX_MESSAGES_PER_CHANNEL,
                 ):
                     if any(_python_value_matches_shape(s, value) for s in shapes):
                         choices.append((entries[0], (value,)))
@@ -183,7 +186,7 @@ def build_isolated_machine(
                     pattern = program.interfaces[channel][entry_name]
                     for args in entry_arg_choices(
                         pattern, int_domain, array_sizes,
-                        limit=max_messages_per_channel,
+                        limit=MAX_MESSAGES_PER_CHANNEL,
                     ):
                         choices.append((entry_name, args))
             total_choices += len(choices)

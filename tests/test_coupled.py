@@ -6,6 +6,7 @@ import pytest
 from repro import Machine, compile_source
 from repro.errors import ESPRuntimeError
 from repro.verify import (
+    BitstateExplorer,
     ChoiceWriter,
     CoupledSystem,
     Explorer,
@@ -258,3 +259,67 @@ process receiver {
     assert result.ok, result.violations[:1]
     assert result.complete
     assert result.states > 20
+
+
+# -- the flat coupled state ----------------------------------------------------
+
+BOUNDED_NODE = NODE.replace("assert( x < 10);", "if (x > 3) { x = 0; }")
+LOSSY_NODE = NODE.replace("assert( x < 10);", "skip;").replace(
+    "out( toWireC, x + 1);", "out( toWireC, (x + 1) % 3);")
+
+
+def ring_of(source, lossy=False, token_link=0):
+    """Two machines of ``source`` in a ring, the token in one link."""
+    system = CoupledSystem(
+        [Machine(compile_source(source)), Machine(compile_source(source))],
+        [
+            Link(0, "toWireC", 1, "fromWireC", lossy=lossy),
+            Link(1, "toWireC", 0, "fromWireC", lossy=lossy),
+        ],
+    )
+    if token_link is not None:
+        system.links[token_link].in_flight.append(("Msg", (0,)))
+    return system
+
+
+@pytest.mark.parametrize("source, lossy, expected", [
+    (NODE, False, (21, 21, ["assertion"])),
+    (BOUNDED_NODE, False, (11, 11, [])),
+    (LOSSY_NODE, True, (23, 23, [])),
+], ids=["token ring", "bounded ring", "lossy ring"])
+def test_every_store_explores_the_same_coupled_space(source, lossy, expected):
+    # A coupled state is one flat (procs, heap, ext) state, so the
+    # collapse, plain and bit-state stores all keep it, and none of
+    # them merges two states or splits one.
+    results = [
+        Explorer(ring_of(source, lossy), stop_at_first=False,
+                 store=store).explore()
+        for store in ("collapse", "plain")
+    ]
+    results.append(BitstateExplorer(ring_of(source, lossy),
+                                    stop_at_first=False).explore())
+    for result in results:
+        assert (result.states, result.transitions,
+                [v.kind for v in result.violations]) == expected
+
+
+def test_coupled_states_keep_machines_and_links_apart():
+    # The same leaked object, held by one machine or by the other:
+    # processes and heap entries are equal, and only the per-machine
+    # heap lengths in ext tell the two states apart.
+    states = []
+    for holder in (0, 1):
+        system = ring_of(NODE, token_link=None)
+        system.run_ready()
+        system.machines[holder].heap.alloc("array", [5], mutable=False)
+        states.append(system.canonical_state())
+    assert states[0][:2] == states[1][:2]
+    assert states[0] != states[1]
+    # The same token in one link or in the other.
+    tokens = []
+    for link in (0, 1):
+        system = ring_of(NODE, token_link=link)
+        system.run_ready()
+        tokens.append(system.canonical_state())
+    assert tokens[0][:2] == tokens[1][:2]
+    assert tokens[0] != tokens[1]

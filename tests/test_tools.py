@@ -1,6 +1,9 @@
 """Tests for the espc CLI and the LoC accounting tools."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +202,49 @@ def test_unreadable_source_is_one_error_line(tmp_path, command, unreadable,
     assert err.startswith(f"espc: error: cannot read {path}: ")
     assert reason in err
     assert err.count("\n") == 1
+
+
+def _run_espc(argv, **kwargs):
+    """``espc argv`` in a fresh interpreter, its stderr captured."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "repro.tools.cli", *argv],
+                          stderr=subprocess.PIPE, env=env, timeout=120,
+                          **kwargs)
+
+
+VIOLATING = """
+channel c: int
+process p { out( c, 1); assert(false); }
+process q { in( c, $x); print(x); }
+"""
+
+
+@pytest.mark.parametrize("command, source", [
+    ("check", GOOD), ("verify", GOOD), ("verify", VIOLATING), ("stats", GOOD),
+], ids=["check", "verify-clean", "verify-violation", "stats"])
+def test_closed_stdout_ends_without_a_traceback(tmp_path, command, source):
+    # `espc verify bad.esp | head -3`: the reader goes away before espc
+    # is done writing.  espc then writes nothing more and exits 1.
+    path = tmp_path / "pgm.esp"
+    path.write_text(source)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_espc([command, str(path)], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 1
+
+
+def test_no_stdout_at_all_is_no_error(esp_file):
+    # `espc check pgm.esp >&-`: with fd 1 closed at start-up, Python's
+    # sys.stdout is None and print() writes nothing.
+    proc = _run_espc(["check", esp_file], preexec_fn=lambda: os.close(1))
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("command", ["emit-c", "emit-spin", "pretty"])

@@ -503,7 +503,7 @@ process q { in( bC, $y); out( aC, y); }
 """
     machine = Machine(compile_source(src))
     result = Explorer(machine, quiescence_ok=False,
-                      store=BitstateStore(machine)).explore()
+                      store=BitstateStore()).explore()
     assert [v.kind for v in result.violations] == ["deadlock"]
 
 
