@@ -9,12 +9,15 @@ ESP uses a C-style surface syntax extended with the paper's sigils:
 Comments are ``//`` to end of line and ``/* ... */`` (non-nesting).
 Integer literals are ASCII decimal or ``0x`` hexadecimal.
 
-One compiled pattern, matched at the current offset, skips whitespace
-and comments and takes the next identifier, number or operator by
-maximal munch.  Text the pattern does not take — end of input, an
-identifier starting with a non-ASCII letter, and every lexical error —
-goes through :meth:`Lexer._irregular`, which reports errors with their
-exact message and span.
+One compiled pattern skips whitespace and comments and takes the next
+identifier, number or operator by maximal munch, or else the text the
+scanner leaves out; ``findall`` runs it over the whole file, so the
+scanner's Python loop only builds tokens.  What it leaves out — the end
+of input after trailing trivia, an identifier starting with a non-ASCII
+letter, and every lexical error — goes through
+:meth:`Lexer._irregular`, which reports errors with their exact message
+and span.  Tokens carry offset spans: line and column are looked up
+only when a diagnostic prints them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import LexError
-from repro.lang.source import Position, SourceFile, Span
+from repro.lang.source import SourceFile, Span
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
 _TRIVIA = r"""
@@ -32,24 +35,27 @@ _TRIVIA = r"""
     )*
 """
 
+# Groups: trivia, then exactly one of word, number, operator and other.
 # Every alternative can end in only one place, so a failed match
-# backtracks in linear time before falling back to ``_irregular``.
-# Numbers refuse a following word character (``12ab``, ``0x1g``, ``1²``)
-# and a lone ``/`` refuses ``*`` and ``/``, leaving those to the
-# error path.
-_SCAN = re.compile(_TRIVIA + r"""
-    (?: (?P<word> [A-Za-z_]\w* )
-      | (?P<int> 0[xX][0-9a-fA-F]+(?!\w) | [0-9]+(?!\w) )
-      | (?P<op> \.\.\. | \|> | -> | == | != | <= | >= | && | \|\| | << | >>
-               | /(?![*/]) | [{}()\[\],;:$\#@.=+\-*%<>!&|^] )
+# backtracks in linear time.  Numbers refuse a following word character
+# (``12ab``, ``0x1g``, ``1²``) and a lone ``/`` refuses ``*`` and ``/``,
+# leaving those to ``other``.  ``other`` takes a word that starts with a
+# non-ASCII letter whole (so the scan stays in step with the identifier
+# ``_irregular`` makes of it), else any one character, so every match
+# starts where the last one ended.  Past the last token, trailing trivia
+# backtracks into ``other`` too, and ``_irregular`` finds the end there.
+_SCAN = re.compile("(" + _TRIVIA + r""")
+    (?: ( [A-Za-z_]\w* )
+      | ( 0[xX][0-9a-fA-F]+(?!\w) | [0-9]+(?!\w) )
+      | ( \.\.\. | \|> | -> | == | != | <= | >= | && | \|\| | << | >>
+          | /(?![*/]) | [{}()\[\],;:$\#@.=+\-*%<>!&|^] )
+      | ( [^\W\d_]\w* | (?s:.) )
     )
 """, re.VERBOSE)
 _SKIP_TRIVIA = re.compile(_TRIVIA, re.VERBOSE)
 _WORD_TAIL = re.compile(r"\w*")
 _DIGITS = re.compile(r"[0-9]*")
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
-
-_WORD, _INT = 1, 2  # group numbers in _SCAN; 3 is an operator
 
 # Punctuation and operators: every kind whose value is its own spelling
 # and not a word (keywords, identifiers, literals and EOF are words).
@@ -65,53 +71,48 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         """Scan the whole file, returning tokens ending with EOF."""
-        text, filename = self.text, self.source.filename
-        scan, operators, keywords = _SCAN.match, _OPERATORS, KEYWORDS
-        ident, integer, eof = TokenKind.IDENT, TokenKind.INT, TokenKind.EOF
+        text, source = self.text, self.source
+        filename = source.filename
+        findall, operators, keywords = _SCAN.findall, _OPERATORS, KEYWORDS
+        ident, integer = TokenKind.IDENT, TokenKind.INT
         tokens: list[Token] = []
         append = tokens.append
-        pos = line_start = 0
-        line = 1
-        last = Position(1, 1, 0)  # end of the previous token
+        pos = 0
         while True:
-            m = scan(text, pos)
-            if m is None:
-                token = self._irregular(pos)
-                append(token)
-                if token.kind is eof:
-                    return tokens
-                last = token.span.end
-                pos, line = last.offset, last.line
-                line_start = pos - last.column + 1
-                continue
-            group = m.lastindex
-            lexeme = m[group]
-            end = m.end()
-            start = end - len(lexeme)
-            if start != pos:  # trivia: tokens themselves never span lines
-                newlines = text.count("\n", pos, start)
-                if newlines:
-                    line += newlines
-                    line_start = text.rindex("\n", pos, start) + 1
-                first = Position(line, start - line_start + 1, start)
-            else:
-                first = last
-            last = Position(line, end - line_start + 1, end)
-            span = Span(filename, first, last)
-            if group == _WORD:
-                append(Token(keywords.get(lexeme, ident), lexeme, span))
-            elif group == _INT:
-                base = 16 if lexeme[1:2] in ("x", "X") else 10
-                append(Token(integer, lexeme, span, int(lexeme, base)))
-            else:
-                append(Token(operators[lexeme], lexeme, span))
-            pos = end
+            for trivia, word, number, op, other in findall(text, pos):
+                start = pos + len(trivia)
+                if word:
+                    pos = start + len(word)
+                    append(Token(keywords.get(word, ident), word,
+                                 Span(filename, start, pos, source)))
+                elif op:
+                    pos = start + len(op)
+                    append(Token(operators[op], op,
+                                 Span(filename, start, pos, source)))
+                elif number:
+                    pos = start + len(number)
+                    base = 16 if number[1:2] in ("x", "X") else 10
+                    append(Token(integer, number,
+                                 Span(filename, start, pos, source),
+                                 int(number, base)))
+                else:
+                    token = self._irregular(start)
+                    append(token)
+                    if token.kind is TokenKind.EOF:
+                        return tokens
+                    pos = start + len(other)
+                    if token.span.end_offset != pos:  # out of step: rescan
+                        pos = token.span.end_offset
+                        break
+            else:  # the text ends right after the last token
+                append(self._irregular(pos))
+                return tokens
 
     def _irregular(self, pos: int) -> Token:
-        """The token at ``pos`` (after trivia) that ``_SCAN`` leaves out —
-        end of input, a word starting with a non-ASCII letter, a number
-        followed by a numeric character that is not a digit (``1½``) —
-        or the lexical error there."""
+        """The token at ``pos`` (after trivia) that ``_SCAN`` leaves to
+        ``other`` — end of input, a word starting with a non-ASCII
+        letter, a number followed by a numeric character that is not a
+        digit (``1½``) — or the lexical error there."""
         text, n, span = self.text, len(self.text), self.source.span
         start = _SKIP_TRIVIA.match(text, pos).end()
         if start >= n:
