@@ -7,13 +7,16 @@ the same object.
 
 The ESP compiler runs this per process *before* combining them into
 one C function, where the C compiler could no longer see it (§6.1).
+
+The pass derives each instruction's defs and uses once it has rewritten
+it; the pipeline hands them to dead-code elimination's liveness.
 """
 
 from __future__ import annotations
 
 from repro.lang import ast
 from repro.ir import nodes as ir
-from repro.ir.cfg import build_cfg
+from repro.ir.cfg import block_starts
 from repro.ir.liveness import instr_defs_uses
 
 
@@ -41,31 +44,35 @@ class _CopyEnv:
 
 
 class CopyPropagator:
-    """Rewrites variable reads through active copies; counts rewrites."""
+    """Rewrites variable reads through active copies; counts rewrites.
+    ``defs_uses`` holds each instruction's (defs, uses) after the run."""
 
     def __init__(self):
         self.count = 0
+        self.defs_uses: list[tuple[set[str], set[str]]] = []
 
     def run(self, process: ir.IRProcess) -> int:
-        cfg = build_cfg(process)
-        for block in cfg.blocks:
-            env = _CopyEnv()
-            for pc in block.pcs():
-                instr = process.instrs[pc]
-                self._rewrite_instr_uses(instr, env)
-                defs, _ = instr_defs_uses(instr)
-                for var in defs:
-                    env.kill(var)
-                if isinstance(instr, ir.Decl) and isinstance(instr.expr, ast.Var):
-                    env.record(instr.var, instr.expr)
-                elif (
-                    isinstance(instr, ir.Assign)
-                    and isinstance(instr.target, ast.Var)
-                    and isinstance(instr.expr, ast.Var)
-                ):
-                    dest = getattr(instr.target, "unique_name", None)
-                    if dest is not None:
-                        env.record(dest, instr.expr)
+        starts = block_starts(process)
+        defs_uses = self.defs_uses
+        env = _CopyEnv()
+        for pc, instr in enumerate(process.instrs):
+            if pc in starts:
+                env = _CopyEnv()
+            self._rewrite_instr_uses(instr, env)
+            du = instr_defs_uses(instr)
+            defs_uses.append(du)
+            for var in du[0]:
+                env.kill(var)
+            if isinstance(instr, ir.Decl) and isinstance(instr.expr, ast.Var):
+                env.record(instr.var, instr.expr)
+            elif (
+                isinstance(instr, ir.Assign)
+                and isinstance(instr.target, ast.Var)
+                and isinstance(instr.expr, ast.Var)
+            ):
+                dest = getattr(instr.target, "unique_name", None)
+                if dest is not None:
+                    env.record(dest, instr.expr)
         return self.count
 
     # -- rewriting -----------------------------------------------------------

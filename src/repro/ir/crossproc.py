@@ -47,28 +47,14 @@ def _literal_value(e: ast.Expr | None):
     return None
 
 
-def _send_component_values(program: ir.IRProgram, channel: str):
-    """Per-component constant values across every send site, or None
-    when the channel cannot be analysed.
+def _component_values(sites: list[ast.Expr]):
+    """Per-component constant values across every send site of a
+    channel, or None when they have none in common.
 
     The result is a list (one slot per record component, or a single
     slot for scalar channels) whose entries are the common literal
     value or ``None`` when sites disagree / are not literals.
     """
-    info = program.channels.get(channel)
-    if info is None or info.external == "writer":
-        return None
-    sites: list[ast.Expr] = []
-    for process in program.processes:
-        for instr in process.instrs:
-            if isinstance(instr, ir.Out) and instr.channel == channel:
-                sites.append(instr.expr)
-            elif isinstance(instr, ir.Alt):
-                for arm in instr.arms:
-                    if arm.kind == "out" and arm.channel == channel:
-                        sites.append(arm.expr)
-    if not sites:
-        return None
     # Scalar channel: each site is the message expression itself.
     first = sites[0]
     if not isinstance(first, ast.RecordLit):
@@ -105,14 +91,12 @@ def _reassigned_vars(process: ir.IRProcess) -> set[str]:
     return {var for var, n in counts.items() if n > 1}
 
 
-def _collect_binder_facts(process: ir.IRProcess, channel: str,
-                          columns, facts: dict) -> int:
-    """Record constant facts for this process's binders on ``channel``."""
+def _binder_facts(patterns: list[ast.Pattern], columns, unstable: set[str],
+                  facts: dict) -> int:
+    """Record constant facts for the binders of ``patterns``, the
+    receive patterns of one process on one channel."""
     found = 0
-    unstable = _reassigned_vars(process)
-
-    def visit_pattern(pattern: ast.Pattern):
-        nonlocal found
+    for pattern in patterns:
         if isinstance(pattern, ast.PRecord):
             for i, item in enumerate(pattern.items):
                 if (
@@ -128,23 +112,40 @@ def _collect_binder_facts(process: ir.IRProcess, channel: str,
                     and pattern.unique_name not in unstable:
                 facts[pattern.unique_name] = columns[0]
                 found += 1
-
-    for instr in process.instrs:
-        if isinstance(instr, ir.In) and instr.channel == channel:
-            visit_pattern(instr.pattern)
-        elif isinstance(instr, ir.Alt):
-            for arm in instr.arms:
-                if arm.kind == "in" and arm.channel == channel:
-                    visit_pattern(arm.pattern)
     return found
 
 
 def analyze_cross_process_constants(program: ir.IRProgram) -> CrossProcStats:
     """Find message components that are the same constant at every send
-    site, and map the receiving binders to those constants."""
+    site, and map the receiving binders to those constants.
+
+    One scan of every process collects the send sites of each channel
+    and each process's receive patterns by channel; a process's
+    reassigned variables are derived only if one of its receives can
+    take a constant."""
     stats = CrossProcStats()
-    for channel in program.channels:
-        columns = _send_component_values(program, channel)
+    sends: dict[str, list[ast.Expr]] = {}
+    receives: list[dict[str, list[ast.Pattern]]] = []
+    for process in program.processes:
+        patterns: dict[str, list[ast.Pattern]] = {}
+        for instr in process.instrs:
+            if isinstance(instr, ir.Out):
+                sends.setdefault(instr.channel, []).append(instr.expr)
+            elif isinstance(instr, ir.In):
+                patterns.setdefault(instr.channel, []).append(instr.pattern)
+            elif isinstance(instr, ir.Alt):
+                for arm in instr.arms:
+                    if arm.kind == "out":
+                        sends.setdefault(arm.channel, []).append(arm.expr)
+                    elif arm.kind == "in":
+                        patterns.setdefault(arm.channel, []).append(arm.pattern)
+        receives.append(patterns)
+    unstable: dict[str, set[str]] = {}
+    for channel, info in program.channels.items():
+        sites = sends.get(channel)
+        if info.external == "writer" or not sites:
+            continue
+        columns = _component_values(sites)
         if columns is None:
             continue
         stats.channels_analyzed += 1
@@ -152,10 +153,14 @@ def analyze_cross_process_constants(program: ir.IRProgram) -> CrossProcStats:
         if not constant_columns:
             continue
         stats.constant_components += constant_columns
-        for process in program.processes:
+        for process, patterns in zip(program.processes, receives):
             facts = stats.facts.setdefault(process.name, {})
-            stats.binders_propagated += _collect_binder_facts(
-                process, channel, columns, facts
+            if channel not in patterns:
+                continue
+            if process.name not in unstable:
+                unstable[process.name] = _reassigned_vars(process)
+            stats.binders_propagated += _binder_facts(
+                patterns[channel], columns, unstable[process.name], facts
             )
     return stats
 

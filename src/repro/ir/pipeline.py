@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.ir import nodes as ir
 from repro.ir.allocopt import optimize_allocations
-from repro.ir.copyprop import propagate_copies
+from repro.ir.copyprop import CopyPropagator
 from repro.ir.crossproc import apply_cross_process_constants
 from repro.ir.dce import compact_nops, eliminate_dead_code
 from repro.ir.fold import fold_process
@@ -60,21 +60,25 @@ def optimize(program: ir.IRProgram, level: OptLevel = OptLevel.FULL) -> OptStats
         return stats
     before = {process.name: len(process.instrs)
               for process in program.processes}
-    for process in program.processes:
-        _simplify(process, stats)
+    # Processes the per-process passes have not brought to a fixpoint.
+    unsettled = {process.name for process in program.processes
+                 if not _simplify(process, stats)}
     # Cross-process constant propagation (the paper's §6.2 future work);
     # iterate so constants chain through pipelines of channels, then let
-    # the per-process passes clean up what it exposed.
+    # the per-process passes clean up what it exposed in the processes
+    # it rewrote (the others are still at their fixpoint).
     previous = -1
     for _ in range(4):
         cross = apply_cross_process_constants(program)
         stats.crossproc_binders = cross.binders_propagated
+        unsettled.update(name for name, facts in cross.facts.items() if facts)
         if cross.binders_propagated == previous:
             break
         previous = cross.binders_propagated
     if stats.crossproc_binders:
         for process in program.processes:
-            _simplify(process, stats)
+            if process.name in unsettled:
+                _simplify(process, stats)
     stats.per_process_instrs = {
         process.name: (before[process.name], len(process.instrs))
         for process in program.processes
@@ -85,17 +89,21 @@ def optimize(program: ir.IRProgram, level: OptLevel = OptLevel.FULL) -> OptStats
     return stats
 
 
-def _simplify(process: ir.IRProcess, stats: OptStats) -> None:
+def _simplify(process: ir.IRProcess, stats: OptStats) -> bool:
     """Fold, propagate copies and remove dead code in ``process`` until
-    a pass changes nothing (at most ``_MAX_PASSES`` passes)."""
+    a pass changes nothing (at most ``_MAX_PASSES`` passes); returns
+    whether it got there."""
     for _ in range(_MAX_PASSES):
         changed = 0
         changed += _add(stats, "folds", fold_process(process))
-        changed += _add(stats, "copies_propagated", propagate_copies(process))
-        changed += _add(stats, "dead_removed", eliminate_dead_code(process))
+        copies = CopyPropagator()
+        changed += _add(stats, "copies_propagated", copies.run(process))
+        changed += _add(stats, "dead_removed",
+                        eliminate_dead_code(process, copies.defs_uses))
         compact_nops(process)
         if changed == 0:
-            break
+            return True
+    return False
 
 
 def _add(stats: OptStats, attr: str, amount: int) -> int:
