@@ -31,15 +31,21 @@ from __future__ import annotations
 from repro.lang.ast import Node
 
 
+_CONTAINERS = (Node, list, tuple, dict)
+
+
 def _clone_value(value):
     if isinstance(value, Node):
         return clone_tree(value)
     if isinstance(value, list):
-        return [_clone_value(item) for item in value]
+        return [_clone_value(item) if isinstance(item, _CONTAINERS) else item
+                for item in value]
     if isinstance(value, tuple):
-        return tuple(_clone_value(item) for item in value)
+        return tuple(_clone_value(item) if isinstance(item, _CONTAINERS)
+                     else item for item in value)
     if isinstance(value, dict):
-        return {key: _clone_value(item) for key, item in value.items()}
+        return {key: _clone_value(item) if isinstance(item, _CONTAINERS)
+                else item for key, item in value.items()}
     return value  # span / type / scalar: immutable under re-checking, share
 
 
@@ -48,6 +54,7 @@ def clone_tree(node: Node) -> Node:
     re-annotated; non-node leaf values are shared with the original."""
     clone = object.__new__(type(node))
     clone.__dict__ = {
-        name: _clone_value(value) for name, value in node.__dict__.items()
+        name: _clone_value(value) if isinstance(value, _CONTAINERS) else value
+        for name, value in node.__dict__.items()
     }
     return clone

@@ -83,16 +83,27 @@ def _var_handle(node) -> str:
     return unique if unique is not None else node.name
 
 
+# Dataclass -> the names of its encoded fields, filled the first time a
+# class is encoded.  Never holds ``ast.Var`` or ``ast.PBind``, which
+# encode as numbered handles.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _encode(obj, vids: _VarNumbering):
     """A marshal-able canonical tree of one IR/AST/type value."""
     if obj is None or isinstance(obj, (bool, int, str, bytes, float)):
         return obj
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        return (cls.__name__,) + tuple(
+            [_encode(getattr(obj, name), vids) for name in names])
     if isinstance(obj, ast.Var):
         return ("Var", vids.id_of(_var_handle(obj)))
     if isinstance(obj, ast.PBind):
         return ("PBind", vids.id_of(_var_handle(obj)))
     if isinstance(obj, (list, tuple)):
-        return tuple(_encode(item, vids) for item in obj)
+        return tuple([_encode(item, vids) for item in obj])
     if isinstance(obj, dict):
         return tuple(
             sorted((_encode(k, vids), _encode(v, vids)) for k, v in obj.items())
@@ -100,13 +111,9 @@ def _encode(obj, vids: _VarNumbering):
     if isinstance(obj, enum.Enum):
         return (type(obj).__name__, obj.value)
     if dataclasses.is_dataclass(obj):
-        cls = type(obj)
-        parts: list = [cls.__name__]
-        for f in dataclasses.fields(cls):
-            if f.name in _SKIPPED_FIELDS:
-                continue
-            parts.append(_encode(getattr(obj, f.name), vids))
-        return tuple(parts)
+        _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls)
+                                  if f.name not in _SKIPPED_FIELDS)
+        return _encode(obj, vids)
     raise TypeError(
         f"cannot canonically encode {type(obj).__name__!r} for a cache key"
     )

@@ -83,6 +83,10 @@ def isolate_process(front: FrontendResult, process_name: str) -> FrontendResult:
     writes = {c for c, uses in checked.out_uses.items()
               if any(u.process == process_name for u in uses)}
 
+    # The re-check annotates processes and interface patterns in place,
+    # and the optimizer rewrites process bodies, so those are cloned;
+    # neither writes to a type, constant or channel declaration, so the
+    # pruned program shares them with the original.
     decls: list[ast.Decl] = []
     for decl in front.program.decls:
         if isinstance(decl, ast.ProcessDecl):
@@ -95,7 +99,7 @@ def isolate_process(front: FrontendResult, process_name: str) -> FrontendResult:
             if decl.channel in reads | writes:
                 decls.append(clone_tree(decl))
             continue
-        decls.append(clone_tree(decl))
+        decls.append(decl)
 
     existing_external = {
         d.channel for d in decls if isinstance(d, ast.InterfaceDecl)
