@@ -27,7 +27,7 @@ from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, Rec, Uni
 from repro.lang.types import ArrayType, BoolType, RecordType, Type, UnionType
 from repro.ir import nodes as ir
-from repro.backends.c.runtime_c import RUNTIME_H, SCHEDULER_C
+from repro.backends.c.runtime_c import RUNTIME_H, SCHEDULER_C, SHIFT_C
 from repro.runtime.machine import _patterns_compatible
 
 
@@ -112,8 +112,11 @@ class CCodegen:
         out.emit("static esp_proc esp_procs[ESP_NPROC];")
         out.emit("")
         self._gen_prototypes()
+        helpers_at = len(out.lines)
         for proc in self.program.processes:
             self._gen_step_function(proc)
+        if any(site["kind"] == "shift" for site in self._sites):
+            out.lines[helpers_at:helpers_at] = SHIFT_C.split("\n")
         self._gen_dispatch()
         self._gen_chan_bit()
         self._gen_out_slots()
@@ -288,6 +291,11 @@ class CCodegen:
             if e.op in ("/", "%"):
                 site = self._site("div", span=e.span)
                 fn = "esp_div" if e.op == "/" else "esp_mod"
+                return CExpr(f"{fn}({left.text}, {right.text}, {site})")
+            if e.op in ("<<", ">>") and not (
+                    isinstance(e.right, ast.IntLit) and e.right.value >= 0):
+                site = self._site("shift", span=e.span)
+                fn = "esp_shl" if e.op == "<<" else "esp_shr"
                 return CExpr(f"{fn}({left.text}, {right.text}, {site})")
             return CExpr(f"({left.text} {e.op} {right.text})")
         if isinstance(e, ast.Index):

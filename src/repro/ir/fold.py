@@ -9,7 +9,7 @@ still exists (§6.1).
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.lang.typecheck import _fold_binary
+from repro.lang.typecheck import NegativeShift, _fold_binary
 from repro.ir import nodes as ir
 
 
@@ -45,7 +45,7 @@ class Folder:
             if lv is not None and rv is not None:
                 try:
                     value = _fold_binary(e.op, lv, rv)
-                except ZeroDivisionError:
+                except (ZeroDivisionError, NegativeShift):
                     return e  # let the runtime trap
                 self.count += 1
                 return self._literal(e, value)

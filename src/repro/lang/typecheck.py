@@ -273,6 +273,8 @@ class Checker:
                 return _fold_binary(e.op, left, right)
             except ZeroDivisionError:
                 raise TypeError_("division by zero in constant expression", e.span)
+            except NegativeShift:
+                raise TypeError_("negative shift count in constant expression", e.span)
         raise TypeError_("expression is not a compile-time constant", e.span)
 
     def _collect_channels(self) -> None:
@@ -792,7 +794,7 @@ def _folded(e: ast.Expr):
             return None
         try:
             return _fold_binary(e.op, left, right)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, NegativeShift):
             return None
     return None
 
@@ -806,10 +808,9 @@ def _fold_binary(op: str, left, right):
     if op == "*":
         return left * right
     if op == "/":
-        # C-style truncating division, matching the generated firmware.
-        return int(left / right) if right != 0 else _div0()
+        return truncating_div(left, right) if right != 0 else _div0()
     if op == "%":
-        return left - right * int(left / right) if right != 0 else _div0()
+        return left - right * truncating_div(left, right) if right != 0 else _div0()
     if op == "&":
         return left & right
     if op == "|":
@@ -817,9 +818,9 @@ def _fold_binary(op: str, left, right):
     if op == "^":
         return left ^ right
     if op == "<<":
-        return left << right
+        return left << right if right >= 0 else _negative_shift()
     if op == ">>":
-        return left >> right
+        return left >> right if right >= 0 else _negative_shift()
     if op == "==":
         return left == right
     if op == "!=":
@@ -839,8 +840,24 @@ def _fold_binary(op: str, left, right):
     raise ValueError(f"unknown operator {op}")
 
 
+def truncating_div(left: int, right: int) -> int:
+    """C's quotient, rounded toward zero, computed in integers so it is
+    exact at every magnitude (the generated firmware's ``/``)."""
+    quotient = abs(left) // abs(right)
+    return quotient if (left < 0) == (right < 0) else -quotient
+
+
+class NegativeShift(ArithmeticError):
+    """A shift by a negative count: an error on every engine, like
+    division by zero."""
+
+
 def _div0():
     raise ZeroDivisionError
+
+
+def _negative_shift():
+    raise NegativeShift
 
 
 def check(program: ast.Program) -> CheckedProgram:

@@ -29,6 +29,7 @@ from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
 from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, Rec, Uni, Wild
+from repro.lang.typecheck import truncating_div
 from repro.lang.types import ArrayType, RecordType, UnionType
 from repro.ir import nodes as ir
 from repro.ir.slots import resolve_process_slots
@@ -66,6 +67,7 @@ _DIRECT_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+_SHIFTS = ("<<", ">>")
 
 
 def _true(*_):
@@ -198,17 +200,25 @@ def _compile_binary(e: ast.Binary, proc: ir.IRProcess, consts: dict):
     fr, _ = compile_expr(e.right, proc, consts)
     direct = _DIRECT_OPS.get(op)
     if direct is not None:
-        if isinstance(e.right, ast.IntLit):
+        if isinstance(e.right, ast.IntLit) and (
+                op not in _SHIFTS or e.right.value >= 0):
             right = e.right.value
             return lambda machine, ps: direct(fl(machine, ps), right)
+        if op in _SHIFTS:
+            def shift(machine, ps):
+                left, right = fl(machine, ps), fr(machine, ps)
+                if right < 0:
+                    raise ESPRuntimeError("negative shift count", span)
+                return direct(left, right)
+
+            return shift
         return lambda machine, ps: direct(fl(machine, ps), fr(machine, ps))
     if op == "/":
         def div(machine, ps):
             left, right = fl(machine, ps), fr(machine, ps)
             if right == 0:
                 raise ESPRuntimeError("division by zero", span)
-            # C-style truncation, as in typecheck._fold_binary.
-            return int(left / right)
+            return truncating_div(left, right)
 
         return div
     if op == "%":
@@ -216,7 +226,7 @@ def _compile_binary(e: ast.Binary, proc: ir.IRProcess, consts: dict):
             left, right = fl(machine, ps), fr(machine, ps)
             if right == 0:
                 raise ESPRuntimeError("division by zero", span)
-            return left - right * int(left / right)
+            return left - right * truncating_div(left, right)
 
         return mod
 

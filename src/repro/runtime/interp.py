@@ -38,7 +38,7 @@ from repro.errors import AssertionFailure, ESPRuntimeError
 from repro.lang import ast
 from repro.lang.parser import MAX_ARRAY_SIZE
 from repro.lang.patterns import Eq, EqUnknown, Rec, Shape, Uni, Wild
-from repro.lang.typecheck import _fold_binary
+from repro.lang.typecheck import NegativeShift, _fold_binary
 from repro.lang.types import ArrayType, RecordType, Type, UnionType
 from repro.ir import nodes as ir
 from repro.ir.slots import resolve_process_slots
@@ -226,6 +226,8 @@ class Evaluator:
             return _fold_binary(e.op, left, right)
         except ZeroDivisionError:
             raise ESPRuntimeError("division by zero", e.span)
+        except NegativeShift:
+            raise ESPRuntimeError("negative shift count", e.span)
 
     def _eval_index(self, e: ast.Index, ps: ProcessState) -> tuple[Value, bool]:
         base, base_fresh = self.eval(e.base, ps)

@@ -425,6 +425,8 @@ class NativeMachine:
         span = site["span"]
         if kind == "div":
             return ESPRuntimeError("division by zero", span)
+        if kind == "shift":
+            return ESPRuntimeError("negative shift count", span)
         if kind == "index":
             return ESPRuntimeError(
                 f"array index {a} out of bounds (size {b})", span)

@@ -481,3 +481,92 @@ def test_oversized_runtime_fill_is_one_spanned_error_on_every_engine():
     )
     assert isinstance(span, Span)
     assert len(set(errors.values())) == 1, errors
+
+
+# -- integer division and shift counts ------------------------------------------
+
+
+def _prints_and_error(source: str, engine: str):
+    """The values printed by one run of ``source`` on ``engine``, and the
+    error that ended it as (class, message, span), or None."""
+    printed: list[tuple] = []
+    machine = create_machine(
+        compile_source(source, "arith.esp"), engine=engine,
+        print_handler=lambda name, values: printed.append(tuple(values)))
+    try:
+        create_scheduler(machine).run()
+    except ESPError as err:
+        return printed, (type(err).__name__, str(err), err.span)
+    return printed, None
+
+
+_DIVISION = """\
+process p {
+    $one = 1;
+    print( 9007199254740993 / one);
+    print( 9007199254740993 % one);
+    $a = 7; $b = 2; $m = -7; $n = -2;
+    print( a / b, a % b);
+    print( m / b, m % b);
+    print( a / n, a % n);
+    print( m / n, m % n);
+}
+"""
+
+
+def test_division_truncates_exactly_on_every_engine():
+    # C's quotient rounds toward zero and the remainder takes the sign
+    # of the dividend; both are computed in integers, so a dividend past
+    # 2**53 is not rounded through a float.
+    outcomes = {engine: _prints_and_error(_DIVISION, engine)
+                for engine in OFFER_ENGINES}
+    assert outcomes["ast"] == ([
+        (9007199254740993,), (0,),
+        (3, 1), (-3, -1), (-3, 1), (3, -1),
+    ], None)
+    assert len({repr(outcome) for outcome in outcomes.values()}) == 1, outcomes
+
+
+def test_constant_division_folds_exactly():
+    source = "const BIG = 9007199254740993 / 1;\n" \
+             "process p { print( BIG, BIG % 2, -BIG / 2); }\n"
+    assert compile_source(source).consts["BIG"] == 9007199254740993
+    for engine in OFFER_ENGINES:
+        assert _prints_and_error(source, engine) == (
+            [(9007199254740993, 1, -4503599627370496)], None), engine
+
+
+def test_negative_constant_shift_is_a_check_time_error():
+    for op in ("<<", ">>"):
+        with pytest.raises(ESPError) as info:
+            compile_source(f"const A = 1 {op} -1;\nprocess p {{ print( A); }}\n",
+                           "shift.esp")
+        assert type(info.value).__name__ == "TypeError_"
+        assert str(info.value) == \
+            "shift.esp:1:11: negative shift count in constant expression"
+        span = info.value.span
+        assert (span.start.offset, span.end.offset) == (10, 17)
+
+
+@pytest.mark.parametrize("statement, column", [
+    ("$x = 1 << -1;", 10),
+    ("$x = 256 >> -1;", 10),
+    ("$y = 0; $x = 1 << (y - 1);", 18),
+    ("$y = 0; $x = 1 >> (y - 1);", 18),
+])
+def test_negative_shift_count_is_one_spanned_error_on_every_engine(
+        statement, column):
+    # The folder leaves a shift by a negative count alone, and every
+    # engine raises the same error at the operator's span; the C
+    # backend checks such a shift at an error site.
+    source = f"process p {{\n    print( 1 << 3, 64 >> 2);\n    {statement}\n" \
+             f"    print( x);\n}}\n"
+    outcomes = {engine: _prints_and_error(source, engine)
+                for engine in OFFER_ENGINES}
+    printed, error = outcomes["ast"]
+    assert printed == [(8, 16)]
+    name, message, span = error
+    assert (name, message) == (
+        "ESPRuntimeError", f"arith.esp:3:{column}: negative shift count")
+    assert isinstance(span, Span)
+    assert len({repr(outcome) for outcome in outcomes.values()}) == 1, outcomes
