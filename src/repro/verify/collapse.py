@@ -100,7 +100,7 @@ class ComponentTable:
         }
 
 
-class MachineCollapseStore:
+class CollapseStore:
     """Collapse-compressed visited store for canonical states
     ``(procs, heap_entries, ext)``, a :class:`Machine`'s or a
     :class:`~repro.verify.coupled.CoupledSystem`'s."""
@@ -306,12 +306,11 @@ class PlainStore:
         }
 
 
-def make_visited_store(machine, kind="collapse"):
-    """The visited store for a search of ``machine``: collapse
-    compression by default, ``kind="plain"`` the uncompressed
-    reference store.  Either keeps a :class:`Machine`'s states or a
-    coupled system's, read in ``add_current``, so the choice does not
-    depend on ``machine``.  ``kind`` may also be a ready store instance
+def make_visited_store(kind="collapse"):
+    """A visited store for one search: collapse compression by default,
+    ``kind="plain"`` the uncompressed reference store.  Either keeps a
+    :class:`Machine`'s states or a coupled system's, read in
+    ``add_current``.  ``kind`` may also be a ready store instance
     (anything with ``add_current``), which is how bit-state search
     passes its :class:`repro.verify.bitstate.BitstateStore`."""
     if hasattr(kind, "add_current"):
@@ -320,7 +319,7 @@ def make_visited_store(machine, kind="collapse"):
         return PlainStore()
     if kind != "collapse":
         raise ValueError(f"unknown visited-store kind {kind!r}")
-    return MachineCollapseStore()
+    return CollapseStore()
 
 
 # ---------------------------------------------------------------------------

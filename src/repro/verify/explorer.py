@@ -459,7 +459,7 @@ class Explorer:
         fresh_records(machine)
         # Pre-settle snapshot: the replay origin for counterexamples.
         initial_snapshot = machine.snapshot()
-        store = make_visited_store(machine, self.store_kind)
+        store = make_visited_store(self.store_kind)
         reducer = (Reducer(machine, self.reduce,
                            has_invariants=bool(self.invariants))
                    if self.reduce else None)

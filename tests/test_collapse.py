@@ -15,7 +15,7 @@ from repro import compile_source
 from repro.errors import ESPError
 from repro.runtime.machine import Machine
 from repro.verify.collapse import (
-    MachineCollapseStore,
+    CollapseStore,
     PlainStore,
     StateKeyer,
     deep_size,
@@ -58,8 +58,8 @@ def _settled_machine() -> Machine:
 
 def test_add_current_dedups_revisits():
     machine = _settled_machine()
-    store = make_visited_store(machine)
-    assert isinstance(store, MachineCollapseStore)
+    store = make_visited_store()
+    assert isinstance(store, CollapseStore)
     is_new, token = store.add_current(machine)
     assert is_new and token is not None
     snap = machine.snapshot()
@@ -77,8 +77,8 @@ def test_add_and_add_current_agree():
     # The fused fast path must produce byte-identical visited keys to
     # interning a prebuilt canonical state.
     machine = _settled_machine()
-    by_state = make_visited_store(machine)
-    by_machine = make_visited_store(machine)
+    by_state = make_visited_store()
+    by_machine = make_visited_store()
     assert by_state.add(canonical_state(machine))
     assert by_machine.add_current(machine)[0]
     snap = machine.snapshot()
@@ -118,7 +118,7 @@ def test_payload_bytes_equal_a_recount_of_the_interned_components(model):
 
     machine = (_vmmc_machine("sm1") if model == "vmmc sm1"
                else _retrans_machine(2, 2))
-    store = MachineCollapseStore()
+    store = CollapseStore()
     result = Explorer(machine, store=store).explore()
     assert result.ok and result.complete
     tables = (store.procs, store.objects, store.vectors, store.exts)
@@ -130,7 +130,7 @@ def test_payload_bytes_equal_a_recount_of_the_interned_components(model):
 
 def test_make_visited_store_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        make_visited_store(_settled_machine(), "bitmap")
+        make_visited_store("bitmap")
 
 
 def test_plain_store_reports_footprint():
