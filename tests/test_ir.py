@@ -1,4 +1,4 @@
-"""Unit tests for the middle end: lowering, CFG, liveness, and each
+"""Unit tests for the middle end: lowering, block starts, liveness, and each
 optimization pass."""
 
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.api import compile_source_with_stats
 from repro.ir import OptLevel, lower
 from repro.ir import nodes as ir
-from repro.ir.cfg import build_cfg, reachable_pcs
+from repro.ir.cfg import block_starts, reachable_pcs
 from repro.ir.copyprop import propagate_copies
 from repro.ir.dce import compact_nops, eliminate_dead_code
 from repro.ir.fold import fold_process
@@ -96,24 +96,27 @@ process p { while (true) { in( a, $x); out( a, x); } }
     assert all(proc.instrs[pc].is_blocking() for pc in points)
 
 
-# -- CFG -----------------------------------------------------------------------------
+# -- block starts ------------------------------------------------------------------------
 
 
-def test_cfg_blocks_partition_instructions():
+def test_block_starts_split_at_every_control_transfer():
     proc = proc_of(WRAP.format(
         body="$i = 0; while (i < 3) { if (i == 1) { print(i); } i = i + 1; } out( c, i);"
     ))
-    cfg = build_cfg(proc)
-    covered = sorted(pc for block in cfg.blocks for pc in block.pcs())
-    assert covered == list(range(len(proc.instrs)))
-
-
-def test_cfg_preds_and_succs_are_consistent():
-    proc = proc_of(WRAP.format(body="$i = 0; while (i < 3) { i = i + 1; } out( c, i);"))
-    cfg = build_cfg(proc)
-    for block in cfg.blocks:
-        for succ in block.succs:
-            assert block.index in cfg.blocks[succ].preds
+    starts = block_starts(proc)
+    # Only the entry, jump targets and the PCs after a control transfer
+    # start blocks; every other PC continues its block straight on.
+    for pc, instr in enumerate(proc.instrs):
+        transfers = isinstance(instr, (ir.Jump, ir.Branch, ir.Alt, ir.Halt))
+        if transfers:
+            assert set(instr.successors(pc)) <= starts
+        follows = pc + 1 < len(proc.instrs) and (pc + 1 in starts)
+        targeted = any(pc + 1 in other.successors(at)
+                       for at, other in enumerate(proc.instrs)
+                       if isinstance(other, (ir.Jump, ir.Branch, ir.Alt)))
+        if follows:
+            assert transfers or targeted, pc
+    assert 0 in starts and len(starts) > 2
 
 
 def test_reachable_pcs_excludes_code_after_halt():
